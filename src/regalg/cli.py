@@ -1,9 +1,9 @@
 """Command-line surface: enumeration, invariant reports, pairwise verdicts,
 family classification, and the verification suite.
 
-JSON output is the machine contract and is byte-deterministic for a fixed
-(n, seed); the table format is human-facing, CSV flattens list values with
-';' separators.
+JSON output is the machine contract and is byte-deterministic: every
+kernel behind it is exact.  The table format is human-facing, CSV
+flattens list values with ';' separators.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
@@ -155,7 +154,9 @@ def _family_members(family: str, n: int, k: int | None, kind: str | None, index:
             raise CommandError("--k is required for the drc family")
         if k < 1 or k > n - 1:
             raise CommandError(f"--k must be in [1, {n - 1}] for n={n}")
-        if kind is not None and index is not None:
+        if (kind is None) != (index is None):
+            raise CommandError("--kind and --index must be given together")
+        if kind is not None:
             return [(FamilyLabel(kind, (index,), n, k=k), make_drc(n, kind, index, k))]
         return enum_drc(n, k)
     raise CommandError(f"unknown family {family!r}")
@@ -195,11 +196,10 @@ def cmd_invariants(args) -> int:
             "subalgebra is not closed; bracket-generated positions missing: "
             + ", ".join(f"({i},{j})" for i, j in defects)
         )
-    sig = signature(algebra, args.seed)
+    sig = signature(algebra)
     report = {
         "command": "invariants",
         "descriptor": algebra.descriptor(),
-        "seed": args.seed,
         "nilPattern": nil_star(algebra).render().splitlines(),
         "signature": sig.to_json(),
         "rows": [{"field": k, "value": v} for k, v in sig.to_json().items()],
@@ -214,12 +214,11 @@ def cmd_decide(args) -> int:
     for d in (a, b):
         if not is_closed(d):
             raise CommandError(f"not closed: {d.descriptor()}; missing {closure_defect(d)}")
-    verdict = decide(a, b, args.seed)
+    verdict = decide(a, b)
     report = {
         "command": "decide",
         "a": a.descriptor(),
         "b": b.descriptor(),
-        "seed": args.seed,
         **verdict.to_json(),
         "rows": [{"a": a.descriptor(), "b": b.descriptor(), **verdict.to_json()}],
     }
@@ -230,14 +229,13 @@ def cmd_decide(args) -> int:
 def cmd_classify(args) -> int:
     _check_n(args.n)
     members = _family_members(args.family, args.n, args.k, args.kind, args.index)
-    part = classify_family([alg for _, alg in members], args.seed)
+    part = classify_family([alg for _, alg in members])
     label_by_desc = {alg.descriptor(): lab.text() for lab, alg in members}
     pj = part.to_json()
     report = {
         "command": "classify",
         "n": args.n,
         "family": args.family,
-        "seed": args.seed,
         "classCount": len(pj["classes"]),
         "unresolvedCount": len(pj["unresolved"]),
         "partition": pj,
@@ -270,15 +268,15 @@ class Check:
         }
 
 
-def _partition_by_kind(members, seed):
-    part = classify_family([alg for _, alg in members], seed)
+def _partition_by_kind(members):
+    part = classify_family([alg for _, alg in members])
     labels = [lab for lab, _ in members]
     classes = [sorted(labels[i].text() for i in cls) for cls in part.classes]
     kinds = [sorted({labels[i].kind for i in cls}) for cls in part.classes]
     return part, labels, classes, kinds
 
 
-def _codim1_checks(n: int, seed: int, _cfg) -> list[Check]:
+def _codim1_checks(n: int, _cfg) -> list[Check]:
     members = enum_codim1(n)
     # the full span E + H has |E| + |H| = n(n+1)/2 - 1 basis elements (the
     # diagonal part of sl(n) is traceless), so one-less-than-full means:
@@ -297,9 +295,9 @@ def _codim1_checks(n: int, seed: int, _cfg) -> list[Check]:
         ],
         details=f"{len(members)} members (want {2 * n - 2}), each closed, dim {want_dim}",
     )]
-    part, labels, _, _ = _partition_by_kind(members, seed)
+    part, labels, _, _ = _partition_by_kind(members)
     singletons = all(len(cls) == 1 for cls in part.classes)
-    sigs = [signature(alg, seed) for _, alg in members]
+    sigs = [signature(alg) for _, alg in members]
     nil_pairs_ok = all(
         sigs[i].col_action_seq != sigs[j].col_action_seq
         for i, j in combinations(range(len(members)), 2)
@@ -325,7 +323,7 @@ def _codim1_checks(n: int, seed: int, _cfg) -> list[Check]:
     return checks
 
 
-def _codim2_checks(n: int, seed: int, cfg) -> list[Check]:
+def _codim2_checks(n: int, cfg) -> list[Check]:
     members = enum_codim2(n)
     breakdown = codim2_expected_breakdown(n)
     got = {kind: sum(1 for lab, _ in members if lab.kind == kind) for kind in breakdown}
@@ -369,7 +367,7 @@ def _codim2_checks(n: int, seed: int, cfg) -> list[Check]:
             warnings=[f"skipped: n={n} exceeds --n-max-oracle={cfg.n_max_oracle}"],
         ))
 
-    part, labels, classes, _ = _partition_by_kind(members, seed)
+    part, labels, classes, _ = _partition_by_kind(members)
     triples = sorted(cls for cls in classes if len(cls) > 1)
     want_triples = sorted(
         sorted([f"N_C_{i}", f"N_R_{i}", f"N_{{{i},{i + 1}}}"]) for i in range(1, n - 1)
@@ -389,7 +387,7 @@ def _codim2_checks(n: int, seed: int, cfg) -> list[Check]:
     return checks
 
 
-def _dim2_checks(n: int, seed: int, cfg) -> list[Check]:
+def _dim2_checks(n: int, cfg) -> list[Check]:
     checks = []
     members = enum_dim2(n)
     if n <= min(cfg.n_max_oracle + 1, 6):
@@ -413,7 +411,7 @@ def _dim2_checks(n: int, seed: int, cfg) -> list[Check]:
         warnings=warnings,
         details="exhaustive per-family counts vs published formulas",
     ))
-    part, labels, _, kinds = _partition_by_kind(members, seed)
+    part, labels, _, kinds = _partition_by_kind(members)
     pure = all(len(k) == 1 for k in kinds)
     class_kinds = sorted(k[0] for k in kinds)
     want = ["A1", "A2", "A3", "B1", "B2", "B3", "B4", "C1", "C2"]
@@ -452,7 +450,7 @@ def _dim2_checks(n: int, seed: int, cfg) -> list[Check]:
     return checks
 
 
-def _drc_checks(n: int, seed: int, cfg) -> list[Check]:
+def _drc_checks(n: int, cfg) -> list[Check]:
     ks = [cfg.k] if cfg.k else [1, 2, 3]
     checks = []
     table_warnings = []
@@ -491,7 +489,7 @@ def _drc_checks(n: int, seed: int, cfg) -> list[Check]:
             d = make_drc(n, "D", index, k)
             r = make_drc(n, "R", index, k)
             c = make_drc(n, "C", index, k)
-            v_dr, v_rc = decide(d, r, seed), decide(r, c, seed)
+            v_dr, v_rc = decide(d, r), decide(r, c)
             if k == 2 and not (v_dr.is_conjugate and v_rc.is_conjugate):
                 class_ok = False
             if k == 3:
@@ -511,7 +509,7 @@ def _drc_checks(n: int, seed: int, cfg) -> list[Check]:
     return checks
 
 
-def _kernel_checks(n: int, seed: int, cfg) -> list[Check]:
+def _kernel_checks(n: int, cfg) -> list[Check]:
     checks = []
     kn = min(n, 4)
     basis = [Nil(kn, i, j) for i, j in sorted(full_nil_set(kn))]
@@ -550,10 +548,10 @@ def _kernel_checks(n: int, seed: int, cfg) -> list[Check]:
         members += [alg for _, alg in enum_drc(inv_n, k)]
     inv_ok = True
     for algebra in members:
-        sig = signature(algebra, seed)
+        sig = signature(algebra)
         for sigma in permutations(range(1, inv_n + 1)):
             image = permute_subalgebra(algebra, sigma)
-            if image is not None and signature(image, seed) != sig:
+            if image is not None and signature(image) != sig:
                 inv_ok = False
     checks.append(Check(
         "kernel-signature-invariance",
@@ -621,14 +619,13 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks: list[Check] = []
     for name in names:
-        checks.extend(SUITES[name](args.n, args.seed, cfg))
+        checks.extend(SUITES[name](args.n, cfg))
     failed = [c for c in checks if not c.passed]
     warnings = [w for c in checks for w in c.warnings]
     report = {
         "command": "verify",
         "suite": args.suite,
         "n": args.n,
-        "seed": args.seed,
         "passed": len(checks) - len(failed),
         "failed": len(failed),
         "warningCount": len(warnings),
@@ -636,8 +633,6 @@ def cmd_verify(args) -> int:
         "rows": [c.row() for c in checks],
     }
     _emit(render(report, args.format), args.out)
-    if args.format != "json" and args.out is None:
-        pass  # per-check lines are already the table rows
     return 1 if failed else 0
 
 
@@ -647,8 +642,6 @@ def cmd_verify(args) -> int:
 def _add_common(p: argparse.ArgumentParser, with_n: bool = True) -> None:
     if with_n:
         p.add_argument("--n", type=int, required=True, help="matrix size (2..8)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for generic-rank instantiation (default: REGALG_SEED or 0)")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p.add_argument("--out", default=None, help="write the report to this path")
 
@@ -702,15 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        try:
-            args.seed = int(os.environ.get("REGALG_SEED", "0"))
-        except ValueError:
-            print("regalg: REGALG_SEED must be an integer", file=sys.stderr)
-            return 2
     try:
         return args.fn(args)
-    except (CommandError, ValueError) as exc:
+    except (CommandError, ValueError, OSError) as exc:
         print(f"regalg: {exc}", file=sys.stderr)
         return 2
 

@@ -78,15 +78,9 @@ def _check_perm(sigma, n: int) -> Perm:
     return sigma
 
 
-def permute_subalgebra(algebra: RegularSubalgebra, sigma) -> RegularSubalgebra | None:
-    """Image of the subalgebra under simultaneous row/column relabeling.
-
-    Returns None when some nil position lands below the diagonal, i.e. the
-    image is no longer upper-triangular regular.  Diagonal sign factors of a
-    monomial conjugation rescale basis elements without changing spans, so
-    this captures every monomial conjugation exactly.
-    """
-    sigma = _check_perm(sigma, algebra.n)
+def _relabel(algebra: RegularSubalgebra, sigma: Perm):
+    """Nil set and generators moved by sigma, or None when some nil position
+    lands below the diagonal."""
     nil = set()
     for i, j in algebra.nil_set:
         si, sj = sigma[i - 1], sigma[j - 1]
@@ -99,7 +93,19 @@ def permute_subalgebra(algebra: RegularSubalgebra, sigma) -> RegularSubalgebra |
         for idx, x in enumerate(v):
             w[sigma[idx] - 1] = x
         gens.append(tuple(w))
-    return RegularSubalgebra(algebra.n, frozenset(nil), tuple(gens))
+    return frozenset(nil), tuple(gens)
+
+
+def permute_subalgebra(algebra: RegularSubalgebra, sigma) -> RegularSubalgebra | None:
+    """Image of the subalgebra under simultaneous row/column relabeling.
+
+    Returns None when some nil position lands below the diagonal, i.e. the
+    image is no longer upper-triangular regular.  Diagonal sign factors of a
+    monomial conjugation rescale basis elements without changing spans, so
+    this captures every monomial conjugation exactly.
+    """
+    image = _relabel(algebra, _check_perm(sigma, algebra.n))
+    return None if image is None else RegularSubalgebra(algebra.n, *image)
 
 
 def same_algebra(a: RegularSubalgebra, b: RegularSubalgebra) -> bool:
@@ -121,39 +127,25 @@ def _require_pair(a: RegularSubalgebra, b: RegularSubalgebra) -> None:
 
 
 def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
-    """Exhaustive lexicographic scan for a permutation mapping a onto b."""
-    n = a.n
-    target_nil = b.nil_set
-    target_span = linalg.rref_primitive(b.cartan_gens) if b.cartan_gens else ()
-    nil = tuple(a.nil_set)
-    gens = a.cartan_gens
-    for sigma in iter_permutations(range(1, n + 1)):
-        image = set()
-        ok = True
-        for i, j in nil:
-            si, sj = sigma[i - 1], sigma[j - 1]
-            if si >= sj:
-                ok = False
-                break
-            image.add((si, sj))
-        if not ok or image != target_nil:
+    """Exhaustive lexicographic scan for a permutation mapping a onto b.
+
+    Generators are independent, so with equal generator counts the spans
+    agree iff every relabeled generator of a lies in the span of b, i.e. has
+    a zero dot product with every annihilator vector of b.
+    """
+    if len(a.cartan_gens) != len(b.cartan_gens):
+        return None
+    target_ann = linalg.annihilator(b.cartan_gens, b.n)
+    for sigma in iter_permutations(range(1, a.n + 1)):
+        image = _relabel(a, sigma)
+        if image is None or image[0] != b.nil_set:
             continue
-        if gens or target_span:
-            permuted = []
-            for v in gens:
-                w = [0] * n
-                for idx, x in enumerate(v):
-                    w[sigma[idx] - 1] = x
-                permuted.append(w)
-            if linalg.rref_primitive(permuted) != target_span:
-                continue
-        return tuple(sigma)
+        if all(sum(x * y for x, y in zip(w, ann)) == 0 for w in image[1] for ann in target_ann):
+            return sigma
     return None
 
 
-def perm_conjugate(
-    a: RegularSubalgebra, b: RegularSubalgebra, seed: int = 0
-) -> Perm | None:
+def perm_conjugate(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
     """First permutation (in lexicographic order) carrying a exactly onto b,
     or None when no permutation does.
 
@@ -163,7 +155,7 @@ def perm_conjugate(
     _require_pair(a, b)
     if a.n > PERM_SEARCH_MAX_N:
         raise ValueError(f"witness search guarded at n <= {PERM_SEARCH_MAX_N}, got n={a.n}")
-    if signature(a, seed) != signature(b, seed):
+    if signature(a) != signature(b):
         return None
     return _witness_scan(a, b)
 
@@ -198,17 +190,17 @@ def distinct_verdict(separator: str) -> ConjugacyVerdict:
 UNRESOLVED = ConjugacyVerdict("unresolved")
 
 
-def decide(a: RegularSubalgebra, b: RegularSubalgebra, seed: int = 0) -> ConjugacyVerdict:
+def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
     """Conjugate(witness) when a permutation witness exists, Distinct(name)
     when some invariant separates, Unresolved otherwise.  A failed witness
     search alone never yields Distinct."""
-    sigma = perm_conjugate(a, b, seed)
+    sigma = perm_conjugate(a, b)
     if sigma is not None:
         image = permute_subalgebra(a, sigma)
         if image is None or not same_algebra(image, b):
             raise AssertionError("witness failed re-verification")
         return conjugate_verdict(sigma)
-    name = separate(signature(a, seed), signature(b, seed))
+    name = separate(signature(a), signature(b))
     if name is not None:
         return distinct_verdict(name)
     return UNRESOLVED
@@ -262,7 +254,7 @@ class ClassPartition:
         }
 
 
-def classify_family(members, seed: int = 0) -> ClassPartition:
+def classify_family(members) -> ClassPartition:
     """Group members into conjugacy classes by witness search, merging only
     on verified witnesses; signature comparison fills the separator table.
 
@@ -278,7 +270,7 @@ def classify_family(members, seed: int = 0) -> ClassPartition:
             raise DimensionMismatchError("members mix different n")
         if not is_closed(m):
             raise NotClosedError(closure_defect(m))
-    sigs = [signature(m, seed) for m in members]
+    sigs = [signature(m) for m in members]
 
     groups: dict[InvariantSignature, list[int]] = {}
     for idx, sig in enumerate(sigs):

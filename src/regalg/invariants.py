@@ -99,28 +99,31 @@ def root_vectors_in_span(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], .
     the image span (up to irrelevant sign), which makes any multiset built
     over it an exact monomial-conjugation invariant; an RREF basis has no
     such equivariance because row reduction is coordinate-order sensitive.
+
+    The span is the orthogonal complement of its annihilator, so e_p - e_q
+    lies in it iff a_p = a_q for every annihilator basis vector a, that is
+    iff annihilator columns p and q are equal.
     """
-    if not algebra.cartan_gens:
-        return ()
     n = algebra.n
+    columns = list(zip(*linalg.annihilator(algebra.cartan_gens, n)))
     out = []
-    for p in range(1, n):
-        for q in range(p + 1, n + 1):
-            v = [0] * n
-            v[p - 1], v[q - 1] = 1, -1
-            if linalg.in_span(v, algebra.cartan_gens):
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            if columns[p] == columns[q]:
+                v = [0] * n
+                v[p], v[q] = 1, -1
                 out.append(tuple(v))
     return tuple(out)
 
 
-def _cartan_record(h: tuple[int, ...], algebra: RegularSubalgebra, seed: int) -> CartanRecord:
+def _cartan_record(h: tuple[int, ...], algebra: RegularSubalgebra) -> CartanRecord:
     pattern = adjoint_image_pattern(h, algebra)
     full = SupportVector.full(algebra.n)
     return CartanRecord(
         eigen_multiset=diag_eigen_multiset(h),
         adj_col_dim=col_action(pattern, full).size,
         adj_row_dim=row_action(full, pattern).size,
-        adj_max_rank=generic_max_rank(pattern, seed),
+        adj_max_rank=generic_max_rank(pattern),
     )
 
 
@@ -145,25 +148,25 @@ def _empty_row_anchored_flag(algebra: RegularSubalgebra) -> bool:
 
 
 @lru_cache(maxsize=None)
-def signature(algebra: RegularSubalgebra, seed: int = 0) -> InvariantSignature:
+def signature(algebra: RegularSubalgebra) -> InvariantSignature:
     """Full invariant tuple of a closed subalgebra.
 
     Series and action sequences are taken on the maximal nilpotent part;
-    dim and the rank fields see the whole algebra.  Deterministic for a
-    fixed seed.
+    dim and the rank fields see the whole algebra.  Every field comes from
+    an exact, deterministic kernel.
     """
     if not is_closed(algebra):
         raise NotClosedError(closure_defect(algebra))
     nil_part = algebra.nil_part()
     records = tuple(sorted(
-        (_cartan_record(h, algebra, seed) for h in root_vectors_in_span(algebra)),
+        (_cartan_record(h, algebra) for h in root_vectors_in_span(algebra)),
         key=CartanRecord.sort_key,
     ))
     if algebra.dim == 0:
         max_rank = 0
         min_rank_value = 0
     else:
-        max_rank = generic_max_rank(algebra, seed)
+        max_rank = generic_max_rank(algebra)
         min_rank_value = min_rank(algebra)
     return InvariantSignature(
         dim=algebra.dim,

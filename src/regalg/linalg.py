@@ -62,34 +62,50 @@ def rref(rows) -> list[list[Fraction]]:
     return m
 
 
+def _primitive(row) -> tuple[int, ...]:
+    """A nonzero rational vector scaled to a primitive integer vector with
+    positive leading entry."""
+    denom_lcm = 1
+    for x in row:
+        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+    ints = [int(x * denom_lcm) for x in row]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g > 1:
+        ints = [x // g for x in ints]
+    lead = next(x for x in ints if x != 0)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
 def rref_primitive(rows) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of the row span: RREF rows scaled to primitive
     integer vectors with positive leading entry.
 
     Two row sets span the same subspace iff their outputs are equal.
     """
+    return tuple(_primitive(row) for row in rref(rows))
+
+
+def annihilator(rows, n: int) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer basis of {a in Q^n : r . a = 0 for every row r}.
+
+    One basis vector per free column of the RREF.  The row span is exactly
+    the set of vectors orthogonal to every basis vector, so membership in
+    it is a set of integer dot products.
+    """
+    reduced = rref(rows)
+    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in reduced]
     out = []
-    for row in rref(rows):
-        denom_lcm = 1
-        for x in row:
-            denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-        ints = [int(x * denom_lcm) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        lead = next(x for x in ints if x != 0)
-        if lead < 0:
-            ints = [-x for x in ints]
-        out.append(tuple(ints))
+    for free in sorted(set(range(n)) - set(pivots)):
+        a = [Fraction(0)] * n
+        a[free] = Fraction(1)
+        for row, piv_c in zip(reduced, pivots):
+            a[piv_c] = -row[free]
+        out.append(_primitive(a))
     return tuple(out)
-
-
-def in_span(vector, rows) -> bool:
-    """True iff vector lies in the rational row span of rows."""
-    base = [list(r) for r in rows]
-    return rank(base) == rank(base + [list(vector)])
 
 
 def spans_equal(rows_a, rows_b) -> bool:

@@ -11,9 +11,7 @@ Rows are stored as integer bitmasks, bit j-1 for column j.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg
@@ -25,8 +23,6 @@ from .core import (
     is_closed,
 )
 
-RANK_TRIALS = 3
-RANK_VALUE_BOUND = 2**31
 MIN_RANK_COEFF_BOUND = 3
 
 
@@ -235,42 +231,47 @@ def adjoint_image_pattern(h, algebra: RegularSubalgebra) -> StarMatrix:
     return StarMatrix.from_positions(algebra.n, keep)
 
 
-def _instantiations(algebra_or_star, seed: int):
-    """Yield RANK_TRIALS exact matrices with independent random entries at
-    each star and random coefficients on each diagonal generator."""
-    rng = random.Random(seed)
-    if isinstance(algebra_or_star, StarMatrix):
-        n = algebra_or_star.n
-        positions = algebra_or_star.positions()
-        gens = ()
-    else:
-        n = algebra_or_star.n
-        positions = sorted(algebra_or_star.nil_set)
-        gens = algebra_or_star.cartan_gens
-    for _ in range(RANK_TRIALS):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j) in positions:
-            m[i - 1][j - 1] = Fraction(rng.randrange(1, RANK_VALUE_BOUND))
-        if gens:
-            diag = [0] * n
-            for v in gens:
-                c = rng.randrange(1, RANK_VALUE_BOUND)
-                for idx, x in enumerate(v):
-                    diag[idx] += c * x
-            for idx in range(n):
-                m[idx][idx] = Fraction(diag[idx])
-        yield m
+def generic_max_rank(algebra_or_star) -> int:
+    """Rank of a generic element: the term rank of its support pattern,
+    i.e. a maximum matching between rows and columns over the supported
+    entries (for an algebra: the nil positions plus each diagonal position
+    where some generator is nonzero).
 
-
-def generic_max_rank(algebra_or_star, seed: int = 0) -> int:
-    """Rank of a generic element: the maximum exact rank over a few random
-    instantiations of the stars and diagonal coefficients.
-
-    Random values are drawn from [1, 2^31); by Schwartz-Zippel the chance
-    that all trials land on a rank-deficient coefficient choice is
-    negligible, and exact rational rank removes any floating-point doubt.
+    This is exact, not a bound.  Expand a k x k minor of the generic element
+    as a sum over the matchings of its rows to its columns.  The entries at
+    nil positions are independent indeterminates, so two matchings that use
+    different sets of nil positions give different monomials in them; once
+    that set is fixed, the remaining rows must be matched to the equal
+    columns along the diagonal, so the matching is forced.  The coefficient
+    of each monomial is therefore a single product of diagonal entries,
+    each a nonzero linear form in the generator coefficients.  Nothing
+    cancels, and the minor vanishes identically iff it has no perfect
+    matching on supported entries.
     """
-    return max(linalg.rank(m) for m in _instantiations(algebra_or_star, seed))
+    if isinstance(algebra_or_star, StarMatrix):
+        rows = algebra_or_star.rows
+    else:
+        gens = algebra_or_star.cartan_gens
+        rows = tuple(row | any(v[i] for v in gens) << i
+                     for i, row in enumerate(nil_star(algebra_or_star).rows))
+    owner: dict[int, int] = {}  # matched column bit -> its row
+    visited = 0
+
+    def augment(r: int) -> bool:
+        nonlocal visited
+        while free := rows[r] & ~visited:
+            col = free & -free
+            visited |= col
+            if col not in owner or augment(owner[col]):
+                owner[col] = r
+                return True
+        return False
+
+    matched = 0
+    for r in range(len(rows)):
+        visited = 0
+        matched += augment(r)
+    return matched
 
 
 @dataclass(frozen=True)
@@ -295,14 +296,10 @@ def min_rank_detail(algebra: RegularSubalgebra) -> MinRankResult:
     if algebra.nil_set:
         return MinRankResult(1, True)
     n = algebra.n
-    # a rank-2 diagonal element is a multiple of some e_p - e_q, so the
-    # value 2 is decided exactly by span membership of those vectors
-    for p in range(1, n):
-        for q in range(p + 1, n + 1):
-            v = [0] * n
-            v[p - 1], v[q - 1] = 1, -1
-            if linalg.in_span(v, algebra.cartan_gens):
-                return MinRankResult(2, True)
+    # a rank-2 diagonal element is a multiple of some e_p - e_q, which lies
+    # in the span iff annihilator columns p and q are equal
+    if len(set(zip(*linalg.annihilator(algebra.cartan_gens, n)))) < n:
+        return MinRankResult(2, True)
     basis = linalg.rref_primitive(algebra.cartan_gens)
     g = len(basis)
     best = min(sum(1 for x in v if x != 0) for v in basis)

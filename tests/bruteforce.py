@@ -7,11 +7,16 @@ shortcuts of the package under test.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from regalg import linalg
 from regalg.core import RegularSubalgebra, full_nil_set
+from regalg.starcalc import StarMatrix
+
+RANK_TRIALS = 3
+RANK_VALUE_BOUND = 2**31
 
 
 class _Element:
@@ -145,3 +150,70 @@ def brute_commutator_dim(algebra: RegularSubalgebra) -> int:
         if not b.is_zero():
             produced.append(_to_vector(b, positions))
     return linalg.rank(produced) if produced else 0
+
+
+def instantiation_rank(algebra_or_star) -> int:
+    """Monte-Carlo generic rank: the largest exact rank over RANK_TRIALS
+    instantiations with independent random entries at each star and random
+    coefficients on each diagonal generator.
+
+    Values come from [1, 2^31); by Schwartz-Zippel the chance that every
+    trial lands on a rank-deficient choice is negligible.
+    """
+    rng = random.Random(0)
+    n = algebra_or_star.n
+    if isinstance(algebra_or_star, StarMatrix):
+        positions, gens = algebra_or_star.positions(), ()
+    else:
+        positions, gens = sorted(algebra_or_star.nil_set), algebra_or_star.cartan_gens
+    best = 0
+    for _ in range(RANK_TRIALS):
+        m = [[0] * n for _ in range(n)]
+        for (i, j) in positions:
+            m[i - 1][j - 1] = rng.randrange(1, RANK_VALUE_BOUND)
+        for v in gens:
+            c = rng.randrange(1, RANK_VALUE_BOUND)
+            for idx, x in enumerate(v):
+                m[idx][idx] += c * x
+        best = max(best, linalg.rank(m))
+    return best
+
+
+def in_span(vector, rows) -> bool:
+    """Span membership by two exact ranks."""
+    base = [list(r) for r in rows]
+    return linalg.rank(base) == linalg.rank(base + [list(vector)])
+
+
+def root_vectors_by_rank(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], ...]:
+    """Vectors e_p - e_q (p < q) in the diagonal span, one membership test
+    per pair."""
+    n = algebra.n
+    out = []
+    for p, q in combinations(range(n), 2):
+        v = [0] * n
+        v[p], v[q] = 1, -1
+        if in_span(v, algebra.cartan_gens):
+            out.append(tuple(v))
+    return tuple(out)
+
+
+def witness_scan_by_rref(a: RegularSubalgebra, b: RegularSubalgebra):
+    """First permutation (lexicographic) mapping a onto b, comparing the
+    canonical RREF of the relabeled generators with that of b for every
+    candidate."""
+    n = a.n
+    target_span = linalg.rref_primitive(b.cartan_gens)
+    for sigma in permutations(range(1, n + 1)):
+        nil = {(sigma[i - 1], sigma[j - 1]) for i, j in a.nil_set}
+        if any(i >= j for i, j in nil) or nil != b.nil_set:
+            continue
+        permuted = []
+        for v in a.cartan_gens:
+            w = [0] * n
+            for idx, x in enumerate(v):
+                w[sigma[idx] - 1] = x
+            permuted.append(w)
+        if linalg.rref_primitive(permuted) == target_span:
+            return sigma
+    return None

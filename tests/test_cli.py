@@ -191,22 +191,32 @@ class TestDeterminismAndPlumbing:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["count"] == 4
 
-    def test_env_seed_used_when_flag_absent(self, capsys, monkeypatch):
-        monkeypatch.setenv("REGALG_SEED", "42")
-        code, report, _ = run_json(capsys, "invariants", "n=3; nil=(1,2); cartan=")
-        assert code == 0 and report["seed"] == 42
+    def test_seed_flag_rejected(self):
+        with pytest.raises(SystemExit) as info:
+            main(["invariants", "n=3; nil=(1,2); cartan=", "--seed", "7"])
+        assert info.value.code == 2
 
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REGALG_SEED", "42")
-        code, report, _ = run_json(
-            capsys, "invariants", "n=3; nil=(1,2); cartan=", "--seed", "7"
-        )
-        assert code == 0 and report["seed"] == 7
-
-    def test_bad_env_seed(self, capsys, monkeypatch):
+    def test_env_seed_ignored(self, capsys, monkeypatch):
+        _, plain, _ = run(capsys, "invariants", "n=3; nil=(1,2); cartan=H1", "--format", "json")
         monkeypatch.setenv("REGALG_SEED", "pi")
-        code, _, err = run(capsys, "invariants", "n=3; nil=(1,2); cartan=")
-        assert code == 2 and "REGALG_SEED" in err
+        code, out, _ = run(capsys, "invariants", "n=3; nil=(1,2); cartan=H1", "--format", "json")
+        assert code == 0 and out == plain
+        assert "seed" not in json.loads(out)
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "enumerate", "--n", "3", "--family", "codim1",
+            "--out", str(tmp_path / "missing" / "report.json"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("regalg: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd", ["enumerate", "classify"])
+    @pytest.mark.parametrize("half", [("--kind", "R"), ("--index", "1")])
+    def test_drc_kind_and_index_go_together(self, capsys, cmd, half):
+        code, out, err = run(capsys, cmd, "--n", "5", "--family", "drc", "--k", "2", *half)
+        assert code == 2 and out == ""
+        assert "--kind and --index" in err
 
     def test_unknown_family_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as info:

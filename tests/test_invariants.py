@@ -144,7 +144,3 @@ class TestSerialization:
             for r in records
         ]
         assert keys == sorted(keys)
-
-    def test_seed_changes_nothing_for_stable_patterns(self):
-        algebra = RegularSubalgebra(5, full_nil_set(5), full_cartan(5))
-        assert signature(algebra, 0) == signature(algebra, 123)

@@ -1,0 +1,99 @@
+"""The exact kernels against their brute-force references: generic rank by
+term rank, root vectors and witness spans by one annihilator."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regalg import linalg
+from regalg.conjugacy import _witness_scan, permute_subalgebra
+from regalg.core import RegularSubalgebra, full_nil_set
+from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
+from regalg.invariants import root_vectors_in_span
+from regalg.starcalc import adjoint_image_pattern, generic_max_rank
+
+import bruteforce
+
+
+def transitive_closure(n, pairs):
+    nil = set(pairs)
+    for k in range(1, n + 1):
+        for i in range(1, k):
+            for j in range(k + 1, n + 1):
+                if (i, k) in nil and (k, j) in nil:
+                    nil.add((i, j))
+    return frozenset(nil)
+
+
+@st.composite
+def cartan_spans(draw, n):
+    """Independent traceless integer vectors, some of them e_p - e_q."""
+    gens = []
+    for _ in range(draw(st.integers(0, n - 1))):
+        if draw(st.booleans()):
+            p, q = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            v = [0] * n
+            v[p], v[q] = 1, -1
+        else:
+            v = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+            v.append(-sum(v))
+        if linalg.rank(gens + [v]) == len(gens) + 1:
+            gens.append(v)
+    return gens
+
+
+@st.composite
+def closed_algebras(draw, max_n):
+    n = draw(st.integers(2, max_n))
+    pairs = draw(st.sets(st.sampled_from(sorted(full_nil_set(n)))))
+    return RegularSubalgebra(n, transitive_closure(n, pairs), draw(cartan_spans(n)))
+
+
+def family_members(n):
+    members = enum_codim1(n) + enum_codim2(n) + enum_dim2(n)
+    for k in range(1, n):
+        members += enum_drc(n, k)
+    return members
+
+
+def assert_generic_ranks_match(algebra):
+    assert generic_max_rank(algebra) == bruteforce.instantiation_rank(algebra)
+    for h in root_vectors_in_span(algebra) + algebra.cartan_gens:
+        pattern = adjoint_image_pattern(h, algebra)
+        assert generic_max_rank(pattern) == bruteforce.instantiation_rank(pattern), h
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_algebras(max_n=9))
+def test_generic_rank_is_the_instantiation_rank(algebra):
+    assert_generic_ranks_match(algebra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_algebras(max_n=9))
+def test_root_vectors_match_pairwise_membership(algebra):
+    assert root_vectors_in_span(algebra) == bruteforce.root_vectors_by_rank(algebra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_algebras(max_n=6), st.data())
+def test_witness_scan_matches_rref_scan(a, data):
+    image = permute_subalgebra(a, data.draw(st.permutations(range(1, a.n + 1))))
+    b = a if image is None else image
+    if data.draw(st.booleans()):
+        b = RegularSubalgebra(b.n, b.nil_set, data.draw(cartan_spans(b.n)))
+    assert _witness_scan(a, b) == bruteforce.witness_scan_by_rref(a, b)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_family_members_match_the_oracles(n):
+    members = family_members(n)
+    for _, algebra in members:
+        assert_generic_ranks_match(algebra)
+        assert root_vectors_in_span(algebra) == bruteforce.root_vectors_by_rank(algebra)
+    by_kind: dict[tuple, list] = {}
+    for label, algebra in members:
+        by_kind.setdefault((label.kind, label.k), []).append(algebra)
+    for group in by_kind.values():
+        for a, b in zip(group, group[1:]):
+            assert _witness_scan(a, b) == bruteforce.witness_scan_by_rref(a, b)

@@ -253,10 +253,6 @@ class TestGenericMaxRank:
             )
             assert generic_max_rank(moved) == base
 
-    def test_seed_determinism(self):
-        algebra = RegularSubalgebra(5, full_nil_set(5), full_cartan(5))
-        assert generic_max_rank(algebra, seed=7) == generic_max_rank(algebra, seed=7)
-
 
 class TestMinRank:
     def test_nil_member_gives_one(self):
