@@ -143,12 +143,12 @@ def _check_n(n: int) -> None:
 
 
 def _family_members(family: str, n: int, k: int | None, kind: str | None, index: int | None):
-    if family == "codim1":
-        return enum_codim1(n)
-    if family == "codim2":
-        return enum_codim2(n)
-    if family == "dim2":
-        return enum_dim2(n)
+    enumerators = {"codim1": enum_codim1, "codim2": enum_codim2, "dim2": enum_dim2}
+    if family in enumerators:
+        for flag, value in (("--k", k), ("--kind", kind), ("--index", index)):
+            if value is not None:
+                raise CommandError(f"{flag} applies to the drc family only, not {family}")
+        return enumerators[family](n)
     if family == "drc":
         if k is None:
             raise CommandError("--k is required for the drc family")

@@ -2,16 +2,20 @@
 
 A monomial matrix (permutation times invertible diagonal) conjugates
 E_ij to a nonzero multiple of E_{sigma(i),sigma(j)}, so spans of standard
-basis elements move by the permutation alone; the witness space searched
-here is the full symmetric group.  Absence of a permutation witness is
-never reported as non-conjugacy: that verdict requires a separating
-invariant, and pairs with equal signatures and no witness stay UNRESOLVED.
+basis elements move by the permutation alone; the witness space is the
+full symmetric group.  It is searched depth first in lexicographic order,
+cutting a partial assignment only when the nil relation, the nil degrees
+or the linear relations among the Cartan columns already rule out every
+completion, so the witness found is the lexicographically first one.
+Absence of a permutation witness is never reported as non-conjugacy: that
+verdict requires a separating invariant, and pairs with equal signatures
+and no witness stay UNRESOLVED.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
+from math import gcd
 
 from . import linalg
 from .core import (
@@ -78,9 +82,15 @@ def _check_perm(sigma, n: int) -> Perm:
     return sigma
 
 
-def _relabel(algebra: RegularSubalgebra, sigma: Perm):
-    """Nil set and generators moved by sigma, or None when some nil position
-    lands below the diagonal."""
+def permute_subalgebra(algebra: RegularSubalgebra, sigma) -> RegularSubalgebra | None:
+    """Image of the subalgebra under simultaneous row/column relabeling.
+
+    Returns None when some nil position lands below the diagonal, i.e. the
+    image is no longer upper-triangular regular.  Diagonal sign factors of a
+    monomial conjugation rescale basis elements without changing spans, so
+    this captures every monomial conjugation exactly.
+    """
+    sigma = _check_perm(sigma, algebra.n)
     nil = set()
     for i, j in algebra.nil_set:
         si, sj = sigma[i - 1], sigma[j - 1]
@@ -92,20 +102,8 @@ def _relabel(algebra: RegularSubalgebra, sigma: Perm):
         w = [0] * algebra.n
         for idx, x in enumerate(v):
             w[sigma[idx] - 1] = x
-        gens.append(tuple(w))
-    return frozenset(nil), tuple(gens)
-
-
-def permute_subalgebra(algebra: RegularSubalgebra, sigma) -> RegularSubalgebra | None:
-    """Image of the subalgebra under simultaneous row/column relabeling.
-
-    Returns None when some nil position lands below the diagonal, i.e. the
-    image is no longer upper-triangular regular.  Diagonal sign factors of a
-    monomial conjugation rescale basis elements without changing spans, so
-    this captures every monomial conjugation exactly.
-    """
-    image = _relabel(algebra, _check_perm(sigma, algebra.n))
-    return None if image is None else RegularSubalgebra(algebra.n, *image)
+        gens.append(w)
+    return RegularSubalgebra(algebra.n, nil, gens)
 
 
 def same_algebra(a: RegularSubalgebra, b: RegularSubalgebra) -> bool:
@@ -126,31 +124,131 @@ def _require_pair(a: RegularSubalgebra, b: RegularSubalgebra) -> None:
             raise NotClosedError(closure_defect(x))
 
 
-def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
-    """Exhaustive lexicographic scan for a permutation mapping a onto b.
+def _nil_masks(algebra: RegularSubalgebra) -> tuple[list[int], list[int]]:
+    """Out- and in-neighbour bitmasks of the nil relation, 0-based: bit j of
+    out[i] is set iff (i+1, j+1) is a nil position, and in[j] the reverse."""
+    out, inn = [0] * algebra.n, [0] * algebra.n
+    for i, j in algebra.nil_set:
+        out[i - 1] |= 1 << (j - 1)
+        inn[j - 1] |= 1 << (i - 1)
+    return out, inn
 
-    Generators are independent, so with equal generator counts the spans
-    agree iff every relabeled generator of a lies in the span of b, i.e. has
-    a zero dot product with every annihilator vector of b.
+
+def _column_relations(gens, n: int) -> list[tuple[int, tuple[tuple[int, int], ...]] | None]:
+    """For each column k of the generator matrix: None when it is independent
+    of columns 0..k-1, else (d, ((p, m_p), ...)) with d * column k equal to
+    the integer combination of the earlier independent columns p.
+
+    The pivot columns of the RREF are the greedy basis of the column space,
+    and RREF column k holds the coordinates of column k in that basis.
     """
-    if len(a.cartan_gens) != len(b.cartan_gens):
-        return None
-    target_ann = linalg.annihilator(b.cartan_gens, b.n)
-    for sigma in iter_permutations(range(1, a.n + 1)):
-        image = _relabel(a, sigma)
-        if image is None or image[0] != b.nil_set:
+    reduced = linalg.rref(gens)
+    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in reduced]
+    out = []
+    for k in range(n):
+        if k in pivots:
+            out.append(None)
             continue
-        if all(sum(x * y for x, y in zip(w, ann)) == 0 for w in image[1] for ann in target_ann):
-            return sigma
-    return None
+        d = 1
+        for row in reduced:
+            d = d * row[k].denominator // gcd(d, row[k].denominator)
+        out.append((d, tuple((p, int(row[k] * d)) for p, row in zip(pivots, reduced) if row[k])))
+    return out
+
+
+def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
+    """Lexicographically first permutation mapping a onto b, or None.
+
+    Depth-first search assigning sigma(1), sigma(2), ... in turn, trying
+    targets in increasing order.  A prefix sigma(1..k) is extended only
+    while no witness is ruled out below it:
+
+    - colours: k and its target agree on nil out-degree, nil in-degree and
+      whether the generator column is zero;
+    - the nil relation: for every assigned i < k, (i, k) and (k, i) are nil
+      positions of a iff (sigma i, sigma k) and (sigma k, sigma i) are nil
+      positions of b;
+    - the Cartan columns: the spans agree iff the generator matrices have
+      the same null space once b's columns are taken in the order sigma,
+      and relations supported on a prefix must then agree as well.  So a
+      column of a that is an integer combination of its earlier independent
+      columns needs b's column at the target to be the same combination of
+      the corresponding targets, and an independent column needs an
+      independent target column.
+
+    With equal nil counts, a full assignment maps the nil set of a exactly
+    onto that of b, and the column relations of all n columns agree, i.e.
+    the spans are equal.  Only branches without a witness are cut, so the
+    first leaf reached is the first witness of the lexicographic scan over
+    all n! permutations.
+    """
+    n = a.n
+    if len(a.cartan_gens) != len(b.cartan_gens) or len(a.nil_set) != len(b.nil_set):
+        return None
+    a_out, a_in = _nil_masks(a)
+    b_out, b_in = _nil_masks(b)
+    a_cols = list(zip(*a.cartan_gens)) or [()] * n
+    b_cols = list(zip(*b.cartan_gens)) or [()] * n
+    a_colour = [(a_out[i].bit_count(), a_in[i].bit_count(), any(a_cols[i])) for i in range(n)]
+    b_colour = [(b_out[t].bit_count(), b_in[t].bit_count(), any(b_cols[t])) for t in range(n)]
+    if sorted(a_colour) != sorted(b_colour):
+        return None
+    candidates = [[t for t in range(n) if b_colour[t] == a_colour[k]] for k in range(n)]
+    relations = _column_relations(a.cartan_gens, n)
+    sigma = [0] * n
+    basis: list[tuple[int, list[int]]] = []  # b's columns at independent targets, reduced
+
+    def image(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << sigma[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def extend(k: int, used: int) -> bool:
+        if k == n:
+            return True
+        prefix = (1 << k) - 1
+        want_out, want_in = image(a_out[k] & prefix), image(a_in[k] & prefix)
+        relation = relations[k]
+        if relation is not None:
+            d, coeffs = relation
+            want_col = [sum(m * b_cols[sigma[p]][r] for p, m in coeffs)
+                        for r in range(len(a.cartan_gens))]
+        for t in candidates[k]:
+            if used >> t & 1 or b_out[t] & used != want_out or b_in[t] & used != want_in:
+                continue
+            sigma[k] = t
+            if relation is not None:
+                if [d * x for x in b_cols[t]] == want_col and extend(k + 1, used | 1 << t):
+                    return True
+                continue
+            v = list(b_cols[t])
+            for piv, row in basis:
+                if c := v[piv]:
+                    v = [row[piv] * x - c * y for x, y in zip(v, row)]
+            if not any(v):
+                continue
+            basis.append((next(r for r, x in enumerate(v) if x), v))
+            if extend(k + 1, used | 1 << t):
+                return True
+            basis.pop()
+        return False
+
+    if not extend(0, 0):
+        return None
+    return tuple(t + 1 for t in sigma)
 
 
 def perm_conjugate(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
     """First permutation (in lexicographic order) carrying a exactly onto b,
     or None when no permutation does.
 
-    Signature equality is checked first as a cheap necessary condition;
-    the scan itself covers all n! candidates (guarded at n <= 8).
+    Signature equality is checked first as a cheap necessary condition.
+    The search (guarded at n <= 8) covers all n! candidates in lexicographic
+    order but skips every branch below a partial assignment that no witness
+    can extend, so it returns the same permutation as a full scan would.
     """
     _require_pair(a, b)
     if a.n > PERM_SEARCH_MAX_N:

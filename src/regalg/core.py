@@ -189,32 +189,44 @@ def full_cartan(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(h_vector(n, k) for k in range(1, n))
 
 
+def _closure_gaps(algebra: RegularSubalgebra):
+    """For rows i = 1..n in turn, the bitmask (bit l-1) of the positions
+    (i,l) with (i,k),(k,l) in the nil set for some k but (i,l) absent: the
+    OR of the rows that row i reaches, less row i itself."""
+    rows = [0] * algebra.n
+    for i, j in algebra.nil_set:
+        rows[i - 1] |= 1 << (j - 1)
+    for row in rows:
+        reach, r = 0, row
+        while r:
+            low = r & -r
+            reach |= rows[low.bit_length() - 1]
+            r ^= low
+        yield reach & ~row
+
+
 def is_closed(algebra: RegularSubalgebra) -> bool:
     """True iff the span is closed under the bracket.
 
     Diagonal generators never break closure (they rescale members), so the
     test reduces to: whenever two nil positions chain as (i,k),(k,j), the
-    position (i,j) must also be present.
+    position (i,j) must also be present, i.e. for every row the OR of the
+    rows it reaches lies inside it.
     """
-    nil = algebra.nil_set
-    for (i, j) in nil:
-        for (k, l) in nil:
-            if j == k and (i, l) not in nil:
-                return False
-    return True
+    return not any(_closure_gaps(algebra))
 
 
 def closure_defect(algebra: RegularSubalgebra) -> list[tuple[int, int]]:
     """Positions produced by brackets of current members but absent from the
     nil set.  Only first-order defects are reported, not the transitive
     completion; empty iff the subalgebra is closed."""
-    nil = algebra.nil_set
-    missing = set()
-    for (i, j) in nil:
-        for (k, l) in nil:
-            if j == k and (i, l) not in nil:
-                missing.add((i, l))
-    return sorted(missing)
+    missing = []
+    for i, gap in enumerate(_closure_gaps(algebra), start=1):
+        while gap:
+            low = gap & -gap
+            missing.append((i, low.bit_length()))
+            gap ^= low
+    return missing
 
 
 def dimension_bound(algebra: RegularSubalgebra, missing: tuple[int, int]) -> int:
@@ -274,7 +286,7 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
     segments = [(p, s) for p, s in segments if p]
 
     n = None
-    nil_pairs: list[tuple[int, int]] = []
+    nil_pairs: set[tuple[int, int]] = set()
     cartan: list[tuple] = []
     seen = set()
     for part, seg_start in segments:
@@ -297,7 +309,10 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
                 m = _NIL_PAIR.match(rest)
                 if not m:
                     raise err("expected (i,j) pair", cursor, rest)
-                nil_pairs.append((int(m.group(1)), int(m.group(2))))
+                pair = (int(m.group(1)), int(m.group(2)))
+                if pair in nil_pairs:
+                    raise err("duplicate nil pair", cursor, m.group(0))
+                nil_pairs.add(pair)
                 rest = rest[m.end():]
                 cursor += m.end()
                 if rest.startswith(","):

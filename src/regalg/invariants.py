@@ -14,10 +14,10 @@ from . import linalg
 from .core import NotClosedError, RegularSubalgebra, closure_defect, is_closed
 from .starcalc import (
     SupportVector,
-    action_dim_seq,
+    _action_dim_seq,
+    _derived_series_dims,
     adjoint_image_pattern,
     col_action,
-    derived_series_dims,
     diag_eigen_multiset,
     generic_max_rank,
     min_rank,
@@ -153,7 +153,8 @@ def signature(algebra: RegularSubalgebra) -> InvariantSignature:
 
     Series and action sequences are taken on the maximal nilpotent part;
     dim and the rank fields see the whole algebra.  Every field comes from
-    an exact, deterministic kernel.
+    an exact, deterministic kernel.  Closure is checked once, here; the
+    series and action kernels below skip their own checks.
     """
     if not is_closed(algebra):
         raise NotClosedError(closure_defect(algebra))
@@ -171,9 +172,9 @@ def signature(algebra: RegularSubalgebra) -> InvariantSignature:
     return InvariantSignature(
         dim=algebra.dim,
         nil_dim=algebra.nil_dim,
-        derived_dims=tuple(derived_series_dims(nil_part)),
-        col_action_seq=tuple(action_dim_seq(nil_part, "column")),
-        row_action_seq=tuple(action_dim_seq(nil_part, "row")),
+        derived_dims=tuple(_derived_series_dims(nil_part)),
+        col_action_seq=tuple(_action_dim_seq(nil_part, "column")),
+        row_action_seq=tuple(_action_dim_seq(nil_part, "row")),
         max_rank=max_rank,
         min_rank=min_rank_value,
         cartan_signature=records,

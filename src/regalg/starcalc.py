@@ -182,6 +182,11 @@ def derived_series_dims(algebra: RegularSubalgebra) -> list[int]:
     current pattern.  Stops on an empty or repeating pattern.
     """
     _require_closed(algebra)
+    return _derived_series_dims(algebra)
+
+
+def _derived_series_dims(algebra: RegularSubalgebra) -> list[int]:
+    """derived_series_dims of an algebra already known to be closed."""
     dims = [algebra.dim]
     if algebra.dim == 0:
         return dims
@@ -206,6 +211,11 @@ def action_dim_seq(algebra: RegularSubalgebra, side: str) -> list[int]:
     if side not in ("column", "row"):
         raise ValueError(f"side must be 'column' or 'row', got {side!r}")
     _require_closed(algebra)
+    return _action_dim_seq(algebra, side)
+
+
+def _action_dim_seq(algebra: RegularSubalgebra, side: str) -> list[int]:
+    """action_dim_seq of an algebra already known to be closed."""
     star = nil_star(algebra)
     v = SupportVector.full(algebra.n)
     dims = []

@@ -198,6 +198,30 @@ def root_vectors_by_rank(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], .
     return tuple(out)
 
 
+def witness_scan_exhaustive(a: RegularSubalgebra, b: RegularSubalgebra):
+    """First permutation (lexicographic) mapping a onto b, relabeling the
+    whole algebra for each of the n! candidates.  With equal generator
+    counts the spans agree iff every relabeled generator of a has a zero dot
+    product with every annihilator vector of b."""
+    if len(a.cartan_gens) != len(b.cartan_gens):
+        return None
+    n = a.n
+    target_ann = linalg.annihilator(b.cartan_gens, n)
+    for sigma in permutations(range(1, n + 1)):
+        nil = {(sigma[i - 1], sigma[j - 1]) for i, j in a.nil_set}
+        if nil != b.nil_set:
+            continue
+        permuted = []
+        for v in a.cartan_gens:
+            w = [0] * n
+            for idx, x in enumerate(v):
+                w[sigma[idx] - 1] = x
+            permuted.append(w)
+        if all(sum(x * y for x, y in zip(w, ann)) == 0 for w in permuted for ann in target_ann):
+            return sigma
+    return None
+
+
 def witness_scan_by_rref(a: RegularSubalgebra, b: RegularSubalgebra):
     """First permutation (lexicographic) mapping a onto b, comparing the
     canonical RREF of the relabeled generators with that of b for every

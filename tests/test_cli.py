@@ -218,6 +218,15 @@ class TestDeterminismAndPlumbing:
         assert code == 2 and out == ""
         assert "--kind and --index" in err
 
+    @pytest.mark.parametrize("cmd", ["enumerate", "classify"])
+    @pytest.mark.parametrize("family", ["codim1", "codim2", "dim2"])
+    @pytest.mark.parametrize("flag", [("--k", "2"), ("--kind", "R"), ("--index", "1")])
+    def test_drc_flags_rejected_for_other_families(self, capsys, cmd, family, flag):
+        code, out, err = run(capsys, cmd, "--n", "4", "--family", family, *flag)
+        assert code == 2 and out == ""
+        assert err.startswith("regalg: ") and err.count("\n") == 1
+        assert flag[0] in err and family in err
+
     def test_unknown_family_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["enumerate", "--n", "4", "--family", "everything"])

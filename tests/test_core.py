@@ -230,6 +230,13 @@ class TestDescriptor:
         with pytest.raises(DescriptorError):
             parse_descriptor("n=3; nil=(1,4); cartan=")
 
+    def test_duplicate_nil_pair(self):
+        text = "n=4; nil=(1,2), (1,3),(1,2); cartan="
+        with pytest.raises(DescriptorError) as info:
+            parse_descriptor(text)
+        assert info.value.token == "(1,2)"
+        assert info.value.position == text.rindex("(1,2)")
+
 
 @st.composite
 def subalgebras(draw):
@@ -248,3 +255,12 @@ def subalgebras(draw):
 @given(subalgebras())
 def test_descriptor_roundtrip(algebra):
     assert parse_descriptor(format_descriptor(algebra)) == algebra
+
+
+@settings(max_examples=150, deadline=None)
+@given(subalgebras())
+def test_closure_matches_pairwise_chains(algebra):
+    nil = algebra.nil_set
+    chained = {(i, l) for i, j in nil for k, l in nil if j == k and (i, l) not in nil}
+    assert closure_defect(algebra) == sorted(chained)
+    assert is_closed(algebra) == (not chained)

@@ -1,5 +1,6 @@
 """The exact kernels against their brute-force references: generic rank by
-term rank, root vectors and witness spans by one annihilator."""
+term rank, root vectors by one annihilator, and the pruned witness search
+by the full n! scan."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from regalg import linalg
 from regalg.conjugacy import _witness_scan, permute_subalgebra
 from regalg.core import RegularSubalgebra, full_nil_set
 from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
-from regalg.invariants import root_vectors_in_span
+from regalg.invariants import root_vectors_in_span, signature
 from regalg.starcalc import adjoint_image_pattern, generic_max_rank
 
 import bruteforce
@@ -83,6 +84,50 @@ def test_witness_scan_matches_rref_scan(a, data):
     if data.draw(st.booleans()):
         b = RegularSubalgebra(b.n, b.nil_set, data.draw(cartan_spans(b.n)))
     assert _witness_scan(a, b) == bruteforce.witness_scan_by_rref(a, b)
+
+
+@st.composite
+def upper_relabelings(draw, algebra):
+    """A permutation keeping every nil position above the diagonal: each
+    coordinate goes to its place in a random linear extension of the nil
+    poset."""
+    remaining = set(range(1, algebra.n + 1))
+    sigma = [0] * algebra.n
+    for place in range(1, algebra.n + 1):
+        minimal = sorted(i for i in remaining
+                         if not any((j, i) in algebra.nil_set for j in remaining))
+        i = draw(st.sampled_from(minimal))
+        sigma[i - 1] = place
+        remaining.remove(i)
+    return tuple(sigma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_algebras(max_n=7), st.data())
+def test_witness_scan_matches_exhaustive_scan(a, data):
+    b = permute_subalgebra(a, data.draw(upper_relabelings(a)))
+    copy = data.draw(st.sampled_from(
+        ["relabeled", "other span", "reordered generators", "other basis"]))
+    if copy == "other span":
+        b = RegularSubalgebra(b.n, b.nil_set, data.draw(cartan_spans(b.n)))
+    elif copy == "reordered generators":
+        b = RegularSubalgebra(b.n, b.nil_set, data.draw(st.permutations(b.cartan_gens)))
+    elif copy == "other basis" and len(b.cartan_gens) > 1:
+        first, second, *rest = b.cartan_gens
+        b = RegularSubalgebra(b.n, b.nil_set, [[x + y for x, y in zip(first, second)], second, *rest])
+    assert _witness_scan(a, b) == bruteforce.witness_scan_exhaustive(a, b)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_family_witnesses_match_exhaustive_scan(n):
+    """Every member against the first member of its signature group, the
+    B2/B3/B4 cross pairs without a witness included."""
+    groups: dict = {}
+    for _, algebra in family_members(n):
+        groups.setdefault(signature(algebra), []).append(algebra)
+    for group in groups.values():
+        for a in group:
+            assert _witness_scan(a, group[0]) == bruteforce.witness_scan_exhaustive(a, group[0])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
