@@ -1,56 +1,27 @@
 """Acceptance suite: every classification result reproduced at desk scale.
 
 One test per criterion; each prints a PASS/FAIL line (run pytest -s to see
-them) and enforces its runtime budget.  Where a published value disagrees
-with exhaustive computation, the computed truth is asserted and the
-disagreement is pinned exactly, never silently absorbed.
+them) and enforces its runtime budget.  The verdicts are the `Check`
+records of `regalg.verify`, the engine behind `regalg verify`, looked up by
+check name; the independent oracles the engine does not run stay here.
+Where a published value disagrees with exhaustive computation, the computed
+truth is asserted and the disagreement is pinned exactly, never silently
+absorbed.
 """
 
+import re
 import time
 from contextlib import contextmanager
-from itertools import combinations, permutations, product
 
-from regalg.core import (
-    Diag,
-    Nil,
-    RegularSubalgebra,
-    bracket,
-    full_nil_set,
-    h_pq_vector,
-    h_vector,
-    is_closed,
-)
-from regalg.conjugacy import (
-    classify_family,
-    decide,
-    recipe_witness,
-    permute_subalgebra,
-    same_algebra,
-)
 from regalg.families import (
-    codim2_expected_breakdown,
-    dim2_count_audit,
     drc_case,
     drc_commutator_codim,
-    drc_reference_codim,
     drc_valid_indices,
     enum_all_nilpotent_oracle,
-    enum_codim1,
-    enum_codim2,
-    enum_dim2,
-    enum_drc,
     make_drc,
 )
-from regalg.invariants import signature
-from regalg.starcalc import (
-    SupportVector,
-    adjoint_image_pattern,
-    bool_mul,
-    col_action,
-    derived_series_dims,
-    nil_star,
-    row_action,
-)
+from regalg.starcalc import bool_mul, derived_series_dims, nil_star
+from regalg.verify import SUITES
 
 import bruteforce
 
@@ -68,181 +39,108 @@ def criterion(number, budget_seconds, description):
     assert elapsed < budget_seconds, f"budget {budget_seconds}s exceeded: {elapsed:.2f}s"
 
 
+def check(suite, name, n):
+    """The engine's record of the named check at size n; the suite runs only
+    as far as that check."""
+    for record in SUITES[suite](n):
+        if record.name == name:
+            return record
+    raise LookupError(f"suite {suite} yields no {name} check at n={n}")
+
+
 def test_c01_codim1_counts():
     with criterion(1, 1.0, "codim-1 family: 2n-2 closed members, one below the full span"):
         for n in range(3, 9):
-            members = enum_codim1(n)
-            assert len(members) == 2 * n - 2
-            full_span = n * (n + 1) // 2 - 1  # |E| + |H|
-            for _, algebra in members:
-                assert is_closed(algebra)
-                assert algebra.dim == full_span - 1
-        # flagged: the published dimension label n(n+1)/2 - 1 counts
-        # |E|+|H| as n(n+1)/2 and so overshoots the true member dimension
-        # (|E|+|H|-1 = n(n+1)/2 - 2) by one.
+            count = check("codim1", "codim1-count", n)
+            assert count.passed, count.details
+            # flagged: the published dimension label n(n+1)/2 - 1 counts
+            # |E|+|H| as n(n+1)/2 and so overshoots the true member dimension
+            # (|E|+|H|-1 = n(n+1)/2 - 2) by one.
+            assert len(count.warnings) == 1
+            assert count.warnings[0].startswith("published dimension label")
         print("  flagged: published codim-1 dimension label is one above |E|+|H|-1")
 
 
 def test_c02_codim2_counts():
     with criterion(2, 1.0, "codim-2 family: 2n^2-3n-1 closed members with exact breakdown"):
         for n in range(3, 9):
-            members = enum_codim2(n)
-            assert len(members) == 2 * n * n - 3 * n - 1
-            got = {}
-            for label, algebra in members:
-                assert is_closed(algebra)
-                got[label.kind] = got.get(label.kind, 0) + 1
-            want = codim2_expected_breakdown(n)
-            assert got == want
-            assert want["P"] + want["M"] + want["N"] + want["NR"] + want["NC"] == len(members)
+            count = check("codim2", "codim2-count", n)
+            assert count.passed, count.details
 
 
 def test_c03_exhaustive_closure_oracle():
     with criterion(3, 1.0, "exhaustive scan: codim-1/2 nilpotent patterns match the constructions"):
         for n in range(3, 6):
-            oracle = enum_all_nilpotent_oracle(n)
-            full_count = n * (n - 1) // 2
-            codim1 = {a.nil_set for a in oracle if a.nil_dim == full_count - 1}
-            assert codim1 == {full_nil_set(n) - {(i, i + 1)} for i in range(1, n)}
-            codim2 = {a.nil_set for a in oracle if a.nil_dim == full_count - 2}
-            want = {
-                alg.nil_set
-                for lab, alg in enum_codim2(n)
-                if lab.kind in ("N", "NR", "NC")
-            }
-            assert codim2 == want
+            oracle = check("codim2", "codim2-oracle", n)
+            assert oracle.passed and not oracle.warnings  # ran, not skipped
 
 
 def test_c04_dimension_bound_tightness():
     with criterion(4, 5.0, "removal bound n(n-1)/2-(j-i) is attained and never exceeded"):
         for n in (4, 5):
-            oracle = enum_all_nilpotent_oracle(n)
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    best = max(a.nil_dim for a in oracle if (i, j) not in a.nil_set)
-                    assert best == n * (n - 1) // 2 - (j - i), (n, i, j)
+            assert check("codim2", "codim2-bound-tight", n).passed, n
 
 
 def test_c05_codim1_classification():
     with criterion(5, 30.0, "codim-1 members fall into 2n-2 singleton classes, n=3..6"):
         for n in range(3, 7):
-            members = enum_codim1(n)
-            part = classify_family([alg for _, alg in members])
-            assert len(part.classes) == 2 * n - 2
-            assert all(len(cls) == 1 for cls in part.classes)
-            assert not part.unresolved
-            labels = [lab for lab, _ in members]
-            sigs = [signature(alg) for _, alg in members]
-            for i, j in combinations(range(len(members)), 2):
-                if labels[i].kind == labels[j].kind == "Lii":
-                    assert sigs[i].col_action_seq != sigs[j].col_action_seq
-                if labels[i].kind == labels[j].kind == "L":
-                    # the cartan records separate every generator-dropped
-                    # pair except (L_1, L_2) at n=3, where all per-generator
-                    # dims tie and the last-row flag (the q=n separator)
-                    # finishes the job
-                    if n >= 4:
-                        assert sigs[i].cartan_signature != sigs[j].cartan_signature
-                    else:
-                        assert (
-                            sigs[i].cartan_signature,
-                            sigs[i].last_row_cartan_flag,
-                        ) != (
-                            sigs[j].cartan_signature,
-                            sigs[j].last_row_cartan_flag,
-                        )
+            # column actions separate the unit-removal members; the cartan
+            # records alone separate the generator-removal members from n=4
+            # on, and at n=3 the last-row flag finishes (L_1, L_2)
+            classes = check("codim1", "codim1-classes", n)
+            assert classes.passed, classes.details
+            assert classes.details.startswith(f"{2 * n - 2} singleton classes;")
 
 
 def test_c06_codim2_classification():
     with criterion(6, 60.0, "codim-2 classes: unit/row/column triples, all else singleton, n=4..5"):
         for n in (4, 5):
-            members = enum_codim2(n)
-            labels = [lab for lab, _ in members]
-            part = classify_family([alg for _, alg in members])
-            assert not part.unresolved
-            multi = sorted(
-                sorted(labels[i].text() for i in cls)
-                for cls in part.classes
-                if len(cls) > 1
-            )
-            want = sorted(
-                sorted([f"N_{{{i},{i + 1}}}", f"N_R_{i}", f"N_C_{i}"])
-                for i in range(1, n - 1)
-            )
-            assert multi == want
+            classes = check("codim2", "codim2-classes", n)
+            assert classes.passed, classes.details
             # everything else (P, M, and unit pairs with a gap) is singleton
-            expected_classes = len(members) - 2 * (n - 2)
-            assert len(part.classes) == expected_classes
+            expected_classes = 2 * n * n - 3 * n - 1 - 2 * (n - 2)
+            assert classes.details.startswith(f"{expected_classes} classes:")
 
 
 def test_c07_dim2_classification():
     with criterion(7, 60.0, "two-dimensional spans: exactly 9 classes, all witness recipes valid"):
-        members = enum_dim2(6)
-        labels = [lab for lab, _ in members]
-        part = classify_family([alg for _, alg in members])
-        assert len(part.classes) == 9
-        kinds = []
-        for cls in part.classes:
-            cls_kinds = {labels[i].kind for i in cls}
-            assert len(cls_kinds) == 1  # no class mixes families
-            kinds.append(cls_kinds.pop())
-        assert sorted(kinds) == ["A1", "A2", "A3", "B1", "B2", "B3", "B4", "C1", "C2"]
+        classes = check("dim2", "dim2-classes", 6)
+        assert classes.passed  # no class mixes families
+        assert classes.details == (
+            "9 classes with kinds ['A1', 'A2', 'A3', 'B1', 'B2', 'B3', 'B4', 'C1', 'C2']"
+        )
         # every explicit recipe produces a valid conjugator where families
         # are nonempty
         for n in (5, 6):
-            by_kind = {}
-            for lab, alg in enum_dim2(n):
-                by_kind.setdefault(lab.kind, []).append((lab, alg))
-            for kind_members in by_kind.values():
-                for (la, aa), (lb, ab) in combinations(kind_members, 2):
-                    sigma = recipe_witness(la, lb)
-                    image = permute_subalgebra(aa, sigma)
-                    assert image is not None and same_algebra(image, ab), (la, lb)
+            recipes = check("dim2", "dim2-witness-recipes", n)
+            assert recipes.passed, recipes.details
 
 
 def test_c08_dim2_count_audit():
     with criterion(8, 5.0, "two-dimensional family counts vs published formulas, n=4..6"):
         for n in (4, 5, 6):
-            audit = {row["family"]: row for row in dim2_count_audit(n)}
-            assert audit["B3"]["exhaustive"] == n - 1 and audit["B3"]["matches"]
-            assert audit["C2"]["exhaustive"] == n - 2 and audit["C2"]["matches"]
-            a2 = (n**3 - 3 * n**2 + 2 * n) // 6
-            assert audit["A2"]["exhaustive"] == a2 and audit["A2"]["matches"]
-            flagged = {k for k, row in audit.items() if not row["matches"]}
+            counts = check("dim2", "dim2-counts", n)
+            assert counts.passed  # A2, B3 and C2 match their formulas
             # the disjoint-pair formula counts all unit pairs, closed or not
-            assert flagged == {"A1"}
             units = n * (n - 1) // 2
-            assert audit["A1"]["formula"] == units * (units - 1) // 2
-            assert audit["A1"]["exhaustive"] == units * (units - 1) // 2 - 3 * (
-                n * (n - 1) * (n - 2) // 6
-            )
+            a1_formula = units * (units - 1) // 2
+            a1_exhaustive = a1_formula - 3 * (n * (n - 1) * (n - 2) // 6)
+            assert counts.warnings == [
+                f"count formula mismatch for A1: exhaustive {a1_exhaustive} vs formula {a1_formula}"
+            ]
         print("  flagged: disjoint-pair count formula ignores the closure constraint")
 
 
 def test_c09_adjoint_action_facts():
     with criterion(9, 1.0, "adjoint image of e_p-e_q on the full nil part: column/row dims"):
         for n in (4, 5, 6):
-            algebra = RegularSubalgebra(n, full_nil_set(n), ())
-            full = SupportVector.full(n)
-            row_dim = {}
-            for p in range(1, n):
-                seen = set()
-                for q in range(p + 1, n + 1):
-                    pattern = adjoint_image_pattern(h_pq_vector(n, p, q), algebra)
-                    col = col_action(pattern, full).size
-                    assert col == (q if q < n else n - 1), (n, p, q, col)
-                    seen.add(row_action(full, pattern).size)
-                assert len(seen) == 1  # row dimension depends only on p
-                row_dim[p] = seen.pop()
-            assert row_dim == {
-                p: (n - 1 if p == 1 else n - p + 1) for p in range(1, n)
-            }
-            # strictly decreasing from p=2 on; p=1 ties with p=2 because
-            # column 1 of an upper pattern is always empty
-            for p in range(2, n - 1):
-                assert row_dim[p] > row_dim[p + 1]
-            if n >= 3:
-                assert row_dim[1] == row_dim[2]
+            # column dims q (n-1 at q=n); row dims depend only on p, equal
+            # n-1 at p=1 and n-p+1 after, so they decrease strictly from p=2
+            facts = check("kernels", "kernel-adjoint-facts", n)
+            assert facts.passed, facts.details
+            assert len(facts.warnings) == 2
+            assert facts.warnings[0].startswith(f"column action of the (p,{n}) generators")
+            assert facts.warnings[1].startswith("row-action dims tie at p=1 and p=2")
         print("  flagged: q=n column dim is n-1 (not q); row dims tie at p=1,2")
 
 
@@ -252,9 +150,12 @@ DRC_PUBLISHED_D_SLIPS = {
     (1, 2), (1, 3), (4, 2), (4, 3), (2, 1), (3, 1), (5, 1),
 }
 
+DRC_D_MISMATCH = re.compile(
+    r"published table value for D_(\d+)\[k=(\d+)\] at n=\d+ is \d+, computed \d+"
+)
+
 
 def test_c10_drc_commutator_table():
-    budget = time.perf_counter()
     with criterion(10, 30.0, "segment-removal commutator codims vs the published case table"):
         cells = []
         for n in (6, 7):
@@ -266,17 +167,19 @@ def test_c10_drc_commutator_table():
         computed = {cell: drc_commutator_codim(*cell) for cell in cells}
         assert time.perf_counter() - t0 < 1.0  # the table itself is cheap
         mismatch = set()
-        realized_slips = set()
-        for cell, value in computed.items():
-            n, kind, index, k = cell
-            ref = drc_reference_codim(n, kind, index, k)
-            if kind in ("R", "C"):
-                assert value == ref, ("published row/column value must hold", cell)
-                continue
-            if (drc_case(n, index, k), k) in DRC_PUBLISHED_D_SLIPS:
-                realized_slips.add((drc_case(n, index, k), k))
-            if value != ref:
+        for n in (6, 7):
+            # the engine holds R=C, D=R iff k<=2, and every published
+            # row/column value exactly; diagonal cells that differ are warnings
+            table = check("drc", "drc-commutator-table", n)
+            assert table.passed
+            for warning in table.warnings:
+                slip = DRC_D_MISMATCH.fullmatch(warning)
+                assert slip, warning
+                index, k = int(slip[1]), int(slip[2])
                 mismatch.add((drc_case(n, index, k), k))
+        realized_slips = {
+            (drc_case(n, index, k), k) for n, kind, index, k in cells if kind == "D"
+        } & DRC_PUBLISHED_D_SLIPS
         assert mismatch == realized_slips
         # independent cross-check: exact span brackets agree with every
         # boolean-square codimension
@@ -294,28 +197,16 @@ def test_c10_drc_commutator_table():
 def test_c11_drc_classification():
     with criterion(11, 30.0, "segment removals: conjugate at k=2, separated at k=3"):
         for n in (5, 6):
-            for index in drc_valid_indices(n, "D", 2):
-                d = make_drc(n, "D", index, 2)
-                r = make_drc(n, "R", index, 2)
-                c = make_drc(n, "C", index, 2)
-                for a, b in ((d, r), (r, c), (d, c)):
-                    verdict = decide(a, b)
-                    assert verdict.is_conjugate
-                    image = permute_subalgebra(a, verdict.witness)
-                    assert image is not None and same_algebra(image, b)
-            for index in drc_valid_indices(n, "D", 3):
-                d = make_drc(n, "D", index, 3)
-                r = make_drc(n, "R", index, 3)
-                c = make_drc(n, "C", index, 3)
-                assert decide(d, r).separator == "derivedDims"
-                assert decide(d, c).separator == "derivedDims"
-                verdict = decide(r, c)
-                # recorded outcome of the row-vs-column question at k=3: the
-                # cyclic relabeling is a witness, so they are conjugate and
-                # the published "not pairwise conjugate" claim fails for them
-                assert verdict.is_conjugate
-                image = permute_subalgebra(r, verdict.witness)
-                assert image is not None and same_algebra(image, c)
+            # k=2: every pair of D, R, C is CONJUGATE with a re-verified
+            # witness; k=3: D is separated from R and C by derivedDims
+            classes = check("drc", "drc-classes", n)
+            assert classes.passed
+            # recorded outcome of the row-vs-column question at k=3: the
+            # cyclic relabeling is a witness (re-verified by the engine), so
+            # they are conjugate and the published "not pairwise conjugate"
+            # claim fails for them
+            assert len(classes.warnings) == len(drc_valid_indices(n, "D", 3))
+            assert all(": CONJUGATE witness " in w for w in classes.warnings)
         print(
             "  flagged: row/column segment removals are conjugate at k=3 "
             "(cyclic witness); only the diagonal removal separates"
@@ -325,26 +216,8 @@ def test_c11_drc_classification():
 def test_c12_kernel_properties():
     with criterion(12, 40.0, "bracket laws, series oracle agreement, signature invariance"):
         t0 = time.perf_counter()
-        n = 4
-        basis = [Nil(n, i, j) for i, j in sorted(full_nil_set(n))]
-        basis += [Diag(h_vector(n, k)) for k in range(1, n)]
-        for a, b in product(basis, repeat=2):
-            lhs, rhs = bracket(a, b).as_dict(), bracket(b, a).as_dict()
-            assert lhs == {e: -c for e, c in rhs.items()}
-
-        def expand(x, result):
-            acc = {}
-            for c, e in result.terms:
-                for c2, e2 in bracket(x, e).terms:
-                    acc[e2] = acc.get(e2, 0) + c * c2
-            return acc
-
-        for a, b, c in product(basis, repeat=3):
-            total = {}
-            for x, inner in ((a, bracket(b, c)), (b, bracket(c, a)), (c, bracket(a, b))):
-                for e, coeff in expand(x, inner).items():
-                    total[e] = total.get(e, 0) + coeff
-            assert all(v == 0 for v in total.values())
+        for name in ("kernel-antisymmetry", "kernel-jacobi"):
+            assert check("kernels", name, 4).passed, name
         assert time.perf_counter() - t0 < 1.0
 
         t0 = time.perf_counter()
@@ -360,15 +233,6 @@ def test_c12_kernel_properties():
         assert time.perf_counter() - t0 < 5.0
 
         t0 = time.perf_counter()
-        members = [alg for _, alg in enum_codim1(4)]
-        members += [alg for _, alg in enum_codim2(4)]
-        members += [alg for _, alg in enum_dim2(4)]
-        for k in (1, 2, 3):
-            members += [alg for _, alg in enum_drc(4, k)]
-        for algebra in members:
-            sig = signature(algebra)
-            for sigma in permutations(range(1, 5)):
-                image = permute_subalgebra(algebra, sigma)
-                if image is not None:
-                    assert signature(image) == sig, (algebra.descriptor(), sigma)
+        invariance = check("kernels", "kernel-signature-invariance", 4)
+        assert invariance.passed, invariance.details
         assert time.perf_counter() - t0 < 30.0

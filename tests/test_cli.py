@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, formats, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -171,6 +172,37 @@ class TestVerify:
         assert code == 0
         # k=2 only: no k=3 ambiguity warnings, no published-table slips at k=2
         assert not any("k=3" in w for w in report["warnings"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--suite", "drc", "--k", "0"), "--k must be in [1, 5] for n=6"),
+        (("--suite", "drc", "--k", "9"), "--k must be in [1, 5] for n=6"),
+        (("--suite", "codim1", "--k", "2"), "--k applies to the drc and all suites only, not codim1"),
+    ])
+    def test_bad_k_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", "--n", "6", *argv)
+        assert code == 2 and out == ""
+        assert err == f"regalg: {message}\n"
+
+    def test_dim2_classes_pass_at_n3(self, capsys):
+        # A1, B1 and C1 have no members at n=3, so six classes are expected
+        code, report, _ = run_json(capsys, "verify", "--suite", "dim2", "--n", "3")
+        assert code == 0 and report["failed"] == 0
+        classes = next(r for r in report["rows"] if r["check"] == "dim2-classes")
+        assert classes["result"] == "PASS"
+
+    @pytest.mark.parametrize("n, digest", [
+        (4, "1d354725f43e23e0620cc964826136c8eb0d046bd5c79e90e3110dbe0691ef8e"),
+        (5, "11e4589c51fba15c76e7eeeecb023402643a3e902adbf7a69bdda6258f92ca58"),
+    ])
+    def test_all_suite_report_bytes(self, capsys, n, digest):
+        # a change to these bytes is a change to the report: record it
+        _, out, _ = run(capsys, "verify", "--suite", "all", "--n", str(n), "--format", "json")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_n_max_oracle_flag_rejected(self):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--suite", "codim2", "--n", "4", "--n-max-oracle", "5"])
+        assert info.value.code == 2
 
 
 class TestDeterminismAndPlumbing:
