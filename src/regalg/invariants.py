@@ -85,14 +85,6 @@ class InvariantSignature:
         return out
 
 
-def canonical_cartan_basis(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], ...]:
-    """Basis-independent generators of the diagonal part: the rational RREF
-    of the generator matrix scaled to primitive integer vectors."""
-    if not algebra.cartan_gens:
-        return ()
-    return linalg.rref_primitive(algebra.cartan_gens)
-
-
 def root_vectors_in_span(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], ...]:
     """Two-entry diagonal vectors e_p - e_q (p < q) lying in the diagonal
     span.  Simultaneous relabeling by sigma maps this set onto the set of
@@ -130,21 +122,19 @@ def _cartan_record(h: tuple[int, ...], algebra: RegularSubalgebra) -> CartanReco
 def _empty_row_anchored_flag(algebra: RegularSubalgebra) -> bool:
     """Whether the diagonal part reaches a coordinate whose pattern row is
     empty (for full and near-full nil parts that coordinate is n, so this
-    is "some canonical generator has a nonzero last entry").
+    is "some element of the span has a nonzero last entry").
 
     The naive "nonzero n-th entry" reading is not preserved by monomial
     conjugation once sparse patterns are allowed, because nothing then ties
     coordinate n to the pattern; anchoring to empty rows restores exact
-    equivariance under simultaneous relabeling.
+    equivariance under simultaneous relabeling.  Some element of the span
+    is nonzero at a coordinate iff some generator is, since every element
+    is a combination of the generators, so the generators answer it for
+    every basis of the span.
     """
-    if not algebra.cartan_gens:
-        return False
     star = nil_star(algebra)
     empty_rows = [i for i in range(algebra.n) if star.rows[i] == 0]
-    if not empty_rows:
-        return False
-    basis = canonical_cartan_basis(algebra)
-    return any(any(v[i] != 0 for i in empty_rows) for v in basis)
+    return any(v[i] for v in algebra.cartan_gens for i in empty_rows)
 
 
 @lru_cache(maxsize=None)

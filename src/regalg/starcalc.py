@@ -12,7 +12,7 @@ Rows are stored as integer bitmasks, bit j-1 for column j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from math import gcd
 
 from . import linalg
 from .core import (
@@ -22,8 +22,6 @@ from .core import (
     closure_defect,
     is_closed,
 )
-
-MIN_RANK_COEFF_BOUND = 3
 
 
 @dataclass(frozen=True)
@@ -284,58 +282,56 @@ def generic_max_rank(algebra_or_star) -> int:
     return matched
 
 
-@dataclass(frozen=True)
-class MinRankResult:
-    value: int
-    confirmed: bool
-
-
-def min_rank_detail(algebra: RegularSubalgebra) -> MinRankResult:
+def min_rank(algebra: RegularSubalgebra) -> int:
     """Smallest rank of a nonzero element.
 
     Any single matrix unit has rank 1, so a nonempty nil set settles it.
-    For diagonal spans the rank of an element is its number of nonzero
-    entries; a nonzero traceless vector has at least two, so the answer 2
-    is decided exactly.  Otherwise integer combinations of the canonical
-    basis with coefficients in [-3, 3] are searched, smallest support
-    first; the result is exact for one-generator spans and an unconfirmed
-    upper bound in general.
+    For a diagonal span the rank of an element is its number of nonzero
+    entries, and a multiple of some e_p - e_q (rank 2) lies in the span iff
+    annihilator columns p and q are equal.  Otherwise the answer is n minus
+    the size of the largest hyperplane of the column matroid of the g x n
+    generator matrix G.
+
+    Proof.  The zero set Z of a nonzero x = y.G is a flat: a column that is
+    a combination of columns in Z pairs with y to 0 as well.  Its rank is at
+    most g - 1, since the columns in Z are orthogonal to y != 0.  Conversely,
+    for a hyperplane F the vector y orthogonal to the columns in F is unique
+    up to scale, x = y.G is nonzero because G has independent rows, and its
+    zero set is a flat of rank g - 1 containing F, so it is F.  Hence the
+    maximal zero sets are exactly the hyperplanes.  Each hyperplane is the
+    closure of g - 1 independent columns, so the search below, over
+    increasing independent column sets, reaches all of them: it keeps the
+    rows y.G for a basis of the y orthogonal to the chosen columns, and the
+    single row left after g - 1 columns spans that hyperplane's vector.  A
+    relabeling of coordinates permutes the columns and a change of span
+    basis keeps the matroid, so the value is invariant under both.
     """
     if algebra.dim == 0:
         raise ValueError("minimum rank of the zero algebra is undefined")
     if algebra.nil_set:
-        return MinRankResult(1, True)
+        return 1
     n = algebra.n
-    # a rank-2 diagonal element is a multiple of some e_p - e_q, which lies
-    # in the span iff annihilator columns p and q are equal
     if len(set(zip(*linalg.annihilator(algebra.cartan_gens, n)))) < n:
-        return MinRankResult(2, True)
-    basis = linalg.rref_primitive(algebra.cartan_gens)
-    g = len(basis)
-    best = min(sum(1 for x in v if x != 0) for v in basis)
-    coeff_range = [c for c in range(-MIN_RANK_COEFF_BOUND, MIN_RANK_COEFF_BOUND + 1) if c != 0]
-    for support_size in range(1, g + 1):
-        if best == 2:
-            break
-        for support in combinations(range(g), support_size):
-            for coeffs in product(coeff_range, repeat=support_size):
-                vec = [0] * n
-                for c, idx in zip(coeffs, support):
-                    for pos, x in enumerate(basis[idx]):
-                        vec[pos] += c * x
-                nonzeros = sum(1 for x in vec if x != 0)
-                if 0 < nonzeros < best:
-                    best = nonzeros
-                    if best == 2:
-                        break
-            if best == 2:
-                break
-    confirmed = best == 2 or g == 1
-    return MinRankResult(best, confirmed)
+        return 2
 
+    def search(rows: list[list[int]], start: int) -> int:
+        if len(rows) == 1:
+            return n - rows[0].count(0)
+        best = n
+        for j in range(start, n):
+            pivot = next((row for row in rows if row[j]), None)
+            if pivot is None:
+                continue  # column j lies in the span of the chosen columns
+            rest = []
+            for row in rows:
+                if row is not pivot:
+                    row = [pivot[j] * x - row[j] * y for x, y in zip(row, pivot)]
+                    divisor = gcd(*row)  # scaling keeps the zero set, bounds the entries
+                    rest.append([x // divisor for x in row])
+            best = min(best, search(rest, j + 1))
+        return best
 
-def min_rank(algebra: RegularSubalgebra) -> int:
-    return min_rank_detail(algebra).value
+    return search([list(v) for v in algebra.cartan_gens], 0)
 
 
 def diag_eigen_multiset(h) -> tuple[int, ...]:

@@ -278,9 +278,12 @@ def drc(n: int, ks: Sequence[int] = DRC_KS) -> Iterator[Check]:
         details="commutator codimensions: R=C everywhere, D=R iff k<=2; "
                 "published-cell mismatches are warnings",
     )
+    class_ks = [k for k in ks if k in (2, 3)]
+    if not class_ks:
+        return  # no k here has a classification statement to check
     class_ok = True
     ambiguity = []
-    for k in [k for k in ks if k in (2, 3)]:
+    for k in class_ks:
         for index in drc_valid_indices(n, "D", k):
             d, r, c = (make_drc(n, kind, index, k) for kind in "DRC")
             v_rc = decide(r, c)

@@ -198,6 +198,19 @@ def root_vectors_by_rank(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], .
     return tuple(out)
 
 
+def min_support(algebra: RegularSubalgebra) -> int:
+    """Fewest nonzero entries of a nonzero vector in the diagonal span, by
+    subset enumeration: n minus the largest coordinate set Z on which the
+    generator columns have rank at most g - 1, which is exactly when some
+    nonzero combination of the g independent generators vanishes on Z."""
+    n, gens = algebra.n, algebra.cartan_gens
+    for size in range(n, -1, -1):
+        for zeros in combinations(range(n), size):
+            if linalg.rank([[v[z] for z in zeros] for v in gens]) < len(gens):
+                return n - size
+    raise ValueError("the diagonal span is zero")
+
+
 def witness_scan_exhaustive(a: RegularSubalgebra, b: RegularSubalgebra):
     """First permutation (lexicographic) mapping a onto b, relabeling the
     whole algebra for each of the n! candidates.  With equal generator

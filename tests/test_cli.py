@@ -173,6 +173,14 @@ class TestVerify:
         # k=2 only: no k=3 ambiguity warnings, no published-table slips at k=2
         assert not any("k=3" in w for w in report["warnings"])
 
+    @pytest.mark.parametrize("argv", [("--n", "6", "--k", "1"), ("--n", "2")])
+    def test_drc_classes_omitted_without_k2_or_k3(self, capsys, argv):
+        # drc-classes states facts about k=2 and k=3 only; with neither
+        # selected it would decide no pair, so it is not reported at all
+        code, report, _ = run_json(capsys, "verify", "--suite", "drc", *argv)
+        assert code == 0 and report["failed"] == 0
+        assert [r["check"] for r in report["rows"]] == ["drc-commutator-table"]
+
     @pytest.mark.parametrize("argv, message", [
         (("--suite", "drc", "--k", "0"), "--k must be in [1, 5] for n=6"),
         (("--suite", "drc", "--k", "9"), "--k must be in [1, 5] for n=6"),

@@ -135,6 +135,19 @@ class TestDecide:
         verdict = decide(members["N_{1,2}"].nil_part(), members["N_{3,4}"].nil_part())
         assert verdict.kind == "distinct" and verdict.separator == "colActionSeq"
 
+    def test_relabeled_diagonal_span_conjugate(self):
+        # b is a relabeled by (2,6,1,5,4,3); both spans have min rank 3,
+        # which a coefficient search over a coordinate-dependent basis
+        # misreads as 4 for a
+        a = RegularSubalgebra(6, frozenset(), (
+            (-5, 3, -3, -3, 2, 6), (1, 0, -1, -1, -1, 2), (5, -1, 1, 5, -2, -8)))
+        b = RegularSubalgebra(6, frozenset(), (
+            (-3, -5, 6, 2, -3, 3), (-1, 1, 2, -1, -1, 0), (1, 5, -8, -2, 5, -1)))
+        verdict = decide(a, b)
+        assert verdict.is_conjugate and verdict.witness == (2, 6, 1, 5, 4, 3)
+        image = permute_subalgebra(a, verdict.witness)
+        assert image is not None and same_algebra(image, b)
+
     def test_self_conjugate(self):
         algebra = nil_algebra(4, [(1, 2)])
         verdict = decide(algebra, algebra)

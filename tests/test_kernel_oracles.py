@@ -1,17 +1,18 @@
 """The exact kernels against their brute-force references: generic rank by
-term rank, root vectors by one annihilator, and the pruned witness search
-by the full n! scan."""
+term rank, root vectors by one annihilator, minimum rank by the column
+matroid's hyperplanes, and the pruned witness search by the full n! scan;
+and the soundness of signatures and verdicts under relabeling."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regalg import linalg
-from regalg.conjugacy import _witness_scan, permute_subalgebra
+from regalg.conjugacy import _witness_scan, decide, permute_subalgebra, same_algebra
 from regalg.core import RegularSubalgebra, full_nil_set
 from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
 from regalg.invariants import root_vectors_in_span, signature
-from regalg.starcalc import adjoint_image_pattern, generic_max_rank
+from regalg.starcalc import adjoint_image_pattern, generic_max_rank, min_rank
 
 import bruteforce
 
@@ -74,6 +75,21 @@ def test_generic_rank_is_the_instantiation_rank(algebra):
 @given(closed_algebras(max_n=9))
 def test_root_vectors_match_pairwise_membership(algebra):
     assert root_vectors_in_span(algebra) == bruteforce.root_vectors_by_rank(algebra)
+
+
+# A diagonal span and a relabeling of it: min rank 3 on both sides, which a
+# coefficient search over a coordinate-dependent basis misreads as 4 for
+# the first, so that it calls the pair DISTINCT (minRank).
+SPAN_GENERATORS = ((-5, 3, -3, -3, 2, 6), (1, 0, -1, -1, -1, 2), (5, -1, 1, 5, -2, -8))
+SPAN_AND_RELABELING = (RegularSubalgebra(6, frozenset(), SPAN_GENERATORS), (2, 6, 1, 5, 4, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 7).flatmap(cartan_spans).filter(bool))
+@example(list(SPAN_GENERATORS))
+def test_min_rank_is_the_min_support(gens):
+    algebra = RegularSubalgebra(len(gens[0]), frozenset(), gens)
+    assert min_rank(algebra) == bruteforce.min_support(algebra)
 
 
 @settings(max_examples=150, deadline=None)
@@ -142,3 +158,28 @@ def test_family_members_match_the_oracles(n):
     for group in by_kind.values():
         for a, b in zip(group, group[1:]):
             assert _witness_scan(a, b) == bruteforce.witness_scan_by_rref(a, b)
+
+
+def relabeled_algebras(max_n):
+    """A closed algebra and a permutation that keeps it upper triangular."""
+    return closed_algebras(max_n).flatmap(lambda a: st.tuples(st.just(a), upper_relabelings(a)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabeled_algebras(max_n=8))
+@example(SPAN_AND_RELABELING)
+def test_signature_is_invariant_under_relabeling(pair):
+    a, sigma = pair
+    assert signature(permute_subalgebra(a, sigma)) == signature(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabeled_algebras(max_n=6))
+@example(SPAN_AND_RELABELING)
+def test_relabeled_copy_is_decided_conjugate(pair):
+    a, sigma = pair
+    b = permute_subalgebra(a, sigma)
+    verdict = decide(a, b)
+    assert verdict.kind == "conjugate"
+    image = permute_subalgebra(a, verdict.witness)
+    assert image is not None and same_algebra(image, b)
