@@ -15,7 +15,6 @@ and no witness stay UNRESOLVED.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import linalg
 from .core import (
@@ -112,7 +111,7 @@ def same_algebra(a: RegularSubalgebra, b: RegularSubalgebra) -> bool:
     return (
         a.n == b.n
         and a.nil_set == b.nil_set
-        and linalg.spans_equal(a.cartan_gens, b.cartan_gens)
+        and linalg.rref_primitive(a.cartan_gens) == linalg.rref_primitive(b.cartan_gens)
     )
 
 
@@ -139,20 +138,14 @@ def _column_relations(gens, n: int) -> list[tuple[int, tuple[tuple[int, int], ..
     of columns 0..k-1, else (d, ((p, m_p), ...)) with d * column k equal to
     the integer combination of the earlier independent columns p.
 
-    The pivot columns of the RREF are the greedy basis of the column space,
-    and RREF column k holds the coordinates of column k in that basis.
+    The pivot columns of the RREF are the greedy basis of the column space.
+    The annihilator holds one null vector a per free column k, nonzero only
+    at k and at pivots before it, so a_k * column k = sum of -a_p * column p.
     """
-    reduced = linalg.rref(gens)
-    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in reduced]
-    out = []
-    for k in range(n):
-        if k in pivots:
-            out.append(None)
-            continue
-        d = 1
-        for row in reduced:
-            d = d * row[k].denominator // gcd(d, row[k].denominator)
-        out.append((d, tuple((p, int(row[k] * d)) for p, row in zip(pivots, reduced) if row[k])))
+    out = [None] * n
+    for a in linalg.annihilator(gens, n):
+        k = max(c for c, x in enumerate(a) if x)
+        out[k] = (a[k], tuple((p, -x) for p, x in enumerate(a[:k]) if x))
     return out
 
 
@@ -226,8 +219,8 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
                 continue
             v = list(b_cols[t])
             for piv, row in basis:
-                if c := v[piv]:
-                    v = [row[piv] * x - c * y for x, y in zip(v, row)]
+                if v[piv]:
+                    v = linalg._eliminate(v, row, piv)
             if not any(v):
                 continue
             basis.append((next(r for r, x in enumerate(v) if x), v))
@@ -245,16 +238,17 @@ def perm_conjugate(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
     """First permutation (in lexicographic order) carrying a exactly onto b,
     or None when no permutation does.
 
-    Signature equality is checked first as a cheap necessary condition.
-    The search (guarded at n <= 8) covers all n! candidates in lexicographic
-    order but skips every branch below a partial assignment that no witness
-    can extend, so it returns the same permutation as a full scan would.
+    Signature equality is checked first as a cheap necessary condition, so
+    differing signatures give None at any n.  The search (guarded at n <= 8)
+    covers all n! candidates in lexicographic order but skips every branch
+    below a partial assignment that no witness can extend, so it returns the
+    same permutation as a full scan would.
     """
     _require_pair(a, b)
-    if a.n > PERM_SEARCH_MAX_N:
-        raise ValueError(f"witness search guarded at n <= {PERM_SEARCH_MAX_N}, got n={a.n}")
     if signature(a) != signature(b):
         return None
+    if a.n > PERM_SEARCH_MAX_N:
+        raise ValueError(f"witness search guarded at n <= {PERM_SEARCH_MAX_N}, got n={a.n}")
     return _witness_scan(a, b)
 
 

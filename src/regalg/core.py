@@ -134,8 +134,9 @@ def bracket(a: BasisElement, b: BasisElement) -> BracketResult:
 class RegularSubalgebra:
     """Span of matrix units E_ij (the nil set) and traceless diagonals.
 
-    Cartan generators must be linearly independent over the rationals;
-    duplicates are rejected at construction rather than deduplicated.
+    Cartan generators must have int entries and be linearly independent
+    over the rationals; duplicates are rejected at construction rather than
+    deduplicated.
     """
 
     n: int
@@ -151,6 +152,8 @@ class RegularSubalgebra:
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"invalid nilpotent position ({i},{j}) for n={self.n}")
         for v in self.cartan_gens:
+            if not all(isinstance(x, int) for x in v):
+                raise ValueError(f"cartan generator {v} has a non-integer entry")
             if len(v) != self.n:
                 raise ValueError(f"cartan generator {v} has length {len(v)}, expected {self.n}")
             if sum(v) != 0:

@@ -12,7 +12,6 @@ Rows are stored as integer bitmasks, bit j-1 for column j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import linalg
 from .core import (
@@ -322,12 +321,7 @@ def min_rank(algebra: RegularSubalgebra) -> int:
             pivot = next((row for row in rows if row[j]), None)
             if pivot is None:
                 continue  # column j lies in the span of the chosen columns
-            rest = []
-            for row in rows:
-                if row is not pivot:
-                    row = [pivot[j] * x - row[j] * y for x, y in zip(row, pivot)]
-                    divisor = gcd(*row)  # scaling keeps the zero set, bounds the entries
-                    rest.append([x // divisor for x in row])
+            rest = [linalg._eliminate(row, pivot, j) for row in rows if row is not pivot]
             best = min(best, search(rest, j + 1))
         return best
 

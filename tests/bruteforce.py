@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here recomputes results through exact rational linear algebra
-on explicit bracket expansions, deliberately avoiding the boolean-pattern
+(Fraction row reduction, kept apart from the package's integer kernel) on
+explicit bracket expansions, deliberately avoiding the boolean-pattern
 shortcuts of the package under test.
 """
 
@@ -10,13 +11,103 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
-from regalg import linalg
 from regalg.core import RegularSubalgebra, full_nil_set
 from regalg.starcalc import StarMatrix
 
 RANK_TRIALS = 3
 RANK_VALUE_BOUND = 2**31
+
+
+def _echelonize(m: list[list[Fraction]]) -> int:
+    """Reduce m to row echelon form in place, return the rank."""
+    if not m:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    piv_r = 0
+    for piv_c in range(n_cols):
+        pivot_row = None
+        for r in range(piv_r, n_rows):
+            if m[r][piv_c] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[piv_r], m[pivot_row] = m[pivot_row], m[piv_r]
+        fp = m[piv_r][piv_c]
+        for r in range(piv_r + 1, n_rows):
+            fr = m[r][piv_c]
+            if fr == 0:
+                continue
+            factor = fr / fp
+            for c in range(piv_c, n_cols):
+                m[r][c] -= m[piv_r][c] * factor
+        piv_r += 1
+        if piv_r == n_rows:
+            break
+    return piv_r
+
+
+def rank(rows) -> int:
+    """Rank over the rationals by Fraction row echelon form."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    return _echelonize(m)
+
+
+def rref(rows) -> list[list[Fraction]]:
+    """Reduced row echelon form over the rationals; zero rows are dropped."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = _echelonize(m)
+    m = m[:r]
+    for i in range(r - 1, -1, -1):
+        piv_c = next(c for c, x in enumerate(m[i]) if x != 0)
+        fp = m[i][piv_c]
+        m[i] = [x / fp for x in m[i]]
+        for j in range(i):
+            factor = m[j][piv_c]
+            if factor != 0:
+                m[j] = [a - factor * b for a, b in zip(m[j], m[i])]
+    return m
+
+
+def _primitive(row) -> tuple[int, ...]:
+    """A nonzero rational vector scaled to a primitive integer vector with
+    positive leading entry."""
+    denom_lcm = 1
+    for x in row:
+        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+    ints = [int(x * denom_lcm) for x in row]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g > 1:
+        ints = [x // g for x in ints]
+    lead = next(x for x in ints if x != 0)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+def rref_primitive(rows) -> tuple[tuple[int, ...], ...]:
+    """Fraction RREF rows scaled to primitive integer vectors with positive
+    leading entry."""
+    return tuple(_primitive(row) for row in rref(rows))
+
+
+def annihilator(rows, n: int) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer null-space basis, one vector per free column of the
+    Fraction RREF."""
+    reduced = rref(rows)
+    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in reduced]
+    out = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        a = [Fraction(0)] * n
+        a[free] = Fraction(1)
+        for row, piv_c in zip(reduced, pivots):
+            a[piv_c] = -row[free]
+        out.append(_primitive(a))
+    return tuple(out)
 
 
 class _Element:
@@ -96,7 +187,7 @@ def span_derived_series(algebra: RegularSubalgebra):
             b = _elem_bracket(x, y)
             if not b.is_zero():
                 produced.append(_to_vector(b, positions))
-        basis = linalg.rref(produced) if produced else []
+        basis = rref(produced) if produced else []
         dims.append(len(basis))
         support = set()
         for row in basis:
@@ -149,7 +240,7 @@ def brute_commutator_dim(algebra: RegularSubalgebra) -> int:
         b = _elem_bracket(x, y)
         if not b.is_zero():
             produced.append(_to_vector(b, positions))
-    return linalg.rank(produced) if produced else 0
+    return rank(produced) if produced else 0
 
 
 def instantiation_rank(algebra_or_star) -> int:
@@ -175,14 +266,14 @@ def instantiation_rank(algebra_or_star) -> int:
             c = rng.randrange(1, RANK_VALUE_BOUND)
             for idx, x in enumerate(v):
                 m[idx][idx] += c * x
-        best = max(best, linalg.rank(m))
+        best = max(best, rank(m))
     return best
 
 
 def in_span(vector, rows) -> bool:
     """Span membership by two exact ranks."""
     base = [list(r) for r in rows]
-    return linalg.rank(base) == linalg.rank(base + [list(vector)])
+    return rank(base) == rank(base + [list(vector)])
 
 
 def root_vectors_by_rank(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], ...]:
@@ -206,7 +297,7 @@ def min_support(algebra: RegularSubalgebra) -> int:
     n, gens = algebra.n, algebra.cartan_gens
     for size in range(n, -1, -1):
         for zeros in combinations(range(n), size):
-            if linalg.rank([[v[z] for z in zeros] for v in gens]) < len(gens):
+            if rank([[v[z] for z in zeros] for v in gens]) < len(gens):
                 return n - size
     raise ValueError("the diagonal span is zero")
 
@@ -219,7 +310,7 @@ def witness_scan_exhaustive(a: RegularSubalgebra, b: RegularSubalgebra):
     if len(a.cartan_gens) != len(b.cartan_gens):
         return None
     n = a.n
-    target_ann = linalg.annihilator(b.cartan_gens, n)
+    target_ann = annihilator(b.cartan_gens, n)
     for sigma in permutations(range(1, n + 1)):
         nil = {(sigma[i - 1], sigma[j - 1]) for i, j in a.nil_set}
         if nil != b.nil_set:
@@ -240,7 +331,7 @@ def witness_scan_by_rref(a: RegularSubalgebra, b: RegularSubalgebra):
     canonical RREF of the relabeled generators with that of b for every
     candidate."""
     n = a.n
-    target_span = linalg.rref_primitive(b.cartan_gens)
+    target_span = rref_primitive(b.cartan_gens)
     for sigma in permutations(range(1, n + 1)):
         nil = {(sigma[i - 1], sigma[j - 1]) for i, j in a.nil_set}
         if any(i >= j for i, j in nil) or nil != b.nil_set:
@@ -251,6 +342,6 @@ def witness_scan_by_rref(a: RegularSubalgebra, b: RegularSubalgebra):
             for idx, x in enumerate(v):
                 w[sigma[idx] - 1] = x
             permuted.append(w)
-        if linalg.rref_primitive(permuted) == target_span:
+        if rref_primitive(permuted) == target_span:
             return sigma
     return None

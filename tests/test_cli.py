@@ -122,6 +122,13 @@ class TestDecide:
         code, _, err = run(capsys, "decide", "n=3; nil=; cartan=H1", "n=4; nil=; cartan=H1")
         assert code == 2
 
+    def test_signatures_compared_above_search_guard(self, capsys):
+        code, report, _ = run_json(capsys, "decide", "n=9; nil=(1,2)", "n=9; nil=(1,2),(2,3),(1,3)")
+        assert code == 0
+        assert report["verdict"] == "DISTINCT" and report["separator"] == "dim"
+        code, _, err = run(capsys, "decide", "n=9; nil=(1,2)", "n=9; nil=(2,3)")
+        assert code == 2 and "guarded at n <= 8" in err
+
 
 class TestClassify:
     def test_codim1(self, capsys):

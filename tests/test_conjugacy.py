@@ -104,6 +104,12 @@ class TestPermConjugate:
         with pytest.raises(DimensionMismatchError):
             perm_conjugate(RegularSubalgebra(3), RegularSubalgebra(4))
 
+    def test_signatures_compared_above_search_guard(self):
+        a = RegularSubalgebra(9, {(1, 2)})
+        assert perm_conjugate(a, RegularSubalgebra(9, {(1, 2), (1, 3), (2, 3)})) is None
+        with pytest.raises(ValueError, match="guarded"):
+            perm_conjugate(a, RegularSubalgebra(9, {(2, 3)}))
+
     def test_requires_closed(self):
         with pytest.raises(NotClosedError):
             perm_conjugate(

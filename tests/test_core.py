@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fractions import Fraction
 from itertools import product
 
 from regalg.core import (
@@ -126,6 +127,11 @@ class TestRegularSubalgebra:
     def test_rejects_wrong_length_generator(self):
         with pytest.raises(ValueError):
             RegularSubalgebra(3, frozenset(), ((1, -1),))
+
+    @pytest.mark.parametrize("entry", [0.5, Fraction(1, 2)])
+    def test_rejects_non_integer_entry(self, entry):
+        with pytest.raises(ValueError, match="non-integer entry"):
+            RegularSubalgebra(3, {(1, 2)}, [(entry, -entry, 0)])
 
 
 class TestClosure:

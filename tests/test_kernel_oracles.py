@@ -1,14 +1,21 @@
-"""The exact kernels against their brute-force references: generic rank by
-term rank, root vectors by one annihilator, minimum rank by the column
-matroid's hyperplanes, and the pruned witness search by the full n! scan;
-and the soundness of signatures and verdicts under relabeling."""
+"""The exact kernels against their brute-force references: the integer
+row reduction by Fraction elimination, generic rank by term rank, root
+vectors by one annihilator, minimum rank by the column matroid's
+hyperplanes, and the pruned witness search by the full n! scan; and the
+soundness of signatures and verdicts under relabeling."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regalg import linalg
-from regalg.conjugacy import _witness_scan, decide, permute_subalgebra, same_algebra
+from regalg.conjugacy import (
+    _column_relations,
+    _witness_scan,
+    decide,
+    permute_subalgebra,
+    same_algebra,
+)
 from regalg.core import RegularSubalgebra, full_nil_set
 from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
 from regalg.invariants import root_vectors_in_span, signature
@@ -29,26 +36,71 @@ def transitive_closure(n, pairs):
 
 @st.composite
 def cartan_spans(draw, n):
-    """Independent traceless integer vectors, some of them e_p - e_q."""
+    """Independent traceless integer vectors.  In half the draws some of them
+    are e_p - e_q; in the other half none is, so that the span seldom holds
+    a root vector and min_rank has to search the column matroid."""
+    with_roots = draw(st.booleans())
     gens = []
     for _ in range(draw(st.integers(0, n - 1))):
-        if draw(st.booleans()):
+        if with_roots and draw(st.booleans()):
             p, q = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
             v = [0] * n
             v[p], v[q] = 1, -1
         else:
             v = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
             v.append(-sum(v))
-        if linalg.rank(gens + [v]) == len(gens) + 1:
+        if bruteforce.rank(gens + [v]) == len(gens) + 1:
             gens.append(v)
     return gens
 
 
 @st.composite
 def closed_algebras(draw, max_n):
+    """A closed nil set and a Cartan span; one draw in four is Cartan-only."""
     n = draw(st.integers(2, max_n))
-    pairs = draw(st.sets(st.sampled_from(sorted(full_nil_set(n)))))
+    pairs = set() if draw(st.integers(0, 3)) == 0 else draw(
+        st.sets(st.sampled_from(sorted(full_nil_set(n)))))
     return RegularSubalgebra(n, transitive_closure(n, pairs), draw(cartan_spans(n)))
+
+
+@st.composite
+def integer_matrices(draw):
+    """(n, rows): up to five integer rows of length n, one in four of them an
+    integer combination of two earlier rows."""
+    n = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([c * x + d * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+@example((3, []))
+@example((3, [[0, 0, 0]]))
+@example((4, [[2, -4, 6, 0], [0, 3, 1, -4], [1, -2, 3, 0], [2, -1, 7, -4]]))
+@example((3, [[-2, 1, 1], [0, -3, 3]]))
+def test_integer_elimination_matches_fraction_oracle(matrix):
+    n, rows = matrix
+    reduced = linalg.rref_primitive(rows)
+    assert reduced == bruteforce.rref_primitive(rows)
+    assert linalg.rank(rows) == bruteforce.rank(rows) == len(reduced)
+    assert linalg.annihilator(rows, n) == bruteforce.annihilator(rows, n)
+    columns = [[row[k] for row in rows] for k in range(n)]
+    relations = _column_relations(rows, n)
+    for k, relation in enumerate(relations):
+        independent = bruteforce.rank(columns[:k + 1]) > bruteforce.rank(columns[:k])
+        assert (relation is None) == independent, k
+        if relation is not None:
+            d, coeffs = relation
+            assert d and all(p < k and relations[p] is None for p, _ in coeffs), k
+            combination = [sum(m * columns[p][r] for p, m in coeffs) for r in range(len(rows))]
+            assert [d * x for x in columns[k]] == combination, k
 
 
 def family_members(n):
