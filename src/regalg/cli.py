@@ -31,6 +31,9 @@ from .starcalc import nil_star
 from .verify import SUITES, Check
 
 ENUM_MIN_N, ENUM_MAX_N = 2, 8
+# largest n of an invariants or decide descriptor: min_rank (the minimum
+# distance of a code, NP-hard) already takes seconds at n = 20, g = 10
+DESCRIPTOR_MAX_N = 20
 
 
 class CommandError(ValueError):
@@ -163,7 +166,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    algebra = parse_descriptor(args.descriptor)
+    algebra = parse_descriptor(args.descriptor, DESCRIPTOR_MAX_N)
     if not is_closed(algebra):
         defects = closure_defect(algebra)
         raise CommandError(
@@ -183,8 +186,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    a = parse_descriptor(args.descriptor_a)
-    b = parse_descriptor(args.descriptor_b)
+    a = parse_descriptor(args.descriptor_a, DESCRIPTOR_MAX_N)
+    b = parse_descriptor(args.descriptor_b, DESCRIPTOR_MAX_N)
     for d in (a, b):
         if not is_closed(d):
             raise CommandError(f"not closed: {d.descriptor()}; missing {closure_defect(d)}")
@@ -211,7 +214,8 @@ def cmd_classify(args) -> int:
         "n": args.n,
         "family": args.family,
         "classCount": len(pj["classes"]),
-        "unresolvedCount": len(pj["unresolved"]),
+        # always 0, kept with the partition's empty list (ClassPartition.to_json)
+        "unresolvedCount": 0,
         "partition": pj,
         "rows": [
             {"class": idx, "label": label_by_desc[d], "descriptor": d}

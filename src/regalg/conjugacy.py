@@ -2,19 +2,29 @@
 
 A monomial matrix (permutation times invertible diagonal) conjugates
 E_ij to a nonzero multiple of E_{sigma(i),sigma(j)}, so spans of standard
-basis elements move by the permutation alone; the witness space is the
-full symmetric group.  It is searched depth first in lexicographic order,
-cutting a partial assignment only when the nil relation, the nil degrees
-or the linear relations among the Cartan columns already rule out every
-completion, so the witness found is the lexicographically first one.
-Absence of a permutation witness is never reported as non-conjugacy: that
-verdict requires a separating invariant, and pairs with equal signatures
-and no witness stay UNRESOLVED.
+basis elements move by the permutation alone.  Conversely, two regular
+subalgebras A and B are SL(n)-conjugate only if some permutation maps A
+onto B.  Both are normalized by the diagonal torus H.  If g A g^-1 = B,
+then H and g H g^-1 are maximal tori of the connected normalizer N(B)°,
+and maximal tori of a connected linear algebraic group are conjugate
+(Borel, Linear Algebraic Groups 11.3).  So some b in N(B)° has
+b g H (b g)^-1 = H: the matrix bg normalizes H, hence is monomial, and it
+still carries A onto B.  The witness space is therefore the full
+symmetric group, and a complete search that finds no witness proves the
+pair distinct.
+
+The search runs depth first in lexicographic order, cutting a partial
+assignment only when the nil relation, the nil degrees or the linear
+relations among the Cartan columns already rule out every completion, so
+the witness found is the lexicographically first one.  Signatures are
+conjugation invariants: they reject most distinct pairs before any
+search and name the field that separates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import linalg
 from .core import (
@@ -28,6 +38,7 @@ from .families import FamilyLabel
 from .invariants import InvariantSignature, separate, signature
 
 PERM_SEARCH_MAX_N = 8
+NO_WITNESS = "noPermutationWitness"  # separator of equal signatures with no witness
 
 Perm = tuple[int, ...]  # sigma[i-1] is the image of i, values 1..n
 
@@ -254,7 +265,7 @@ def perm_conjugate(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
 
 @dataclass(frozen=True)
 class ConjugacyVerdict:
-    kind: str  # "conjugate" | "distinct" | "unresolved"
+    kind: str  # "conjugate" | "distinct"
     witness: Perm | None = None
     separator: str | None = None
 
@@ -271,31 +282,19 @@ class ConjugacyVerdict:
         return out
 
 
-def conjugate_verdict(witness: Perm) -> ConjugacyVerdict:
-    return ConjugacyVerdict("conjugate", witness=witness)
-
-
-def distinct_verdict(separator: str) -> ConjugacyVerdict:
-    return ConjugacyVerdict("distinct", separator=separator)
-
-
-UNRESOLVED = ConjugacyVerdict("unresolved")
-
-
 def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
-    """Conjugate(witness) when a permutation witness exists, Distinct(name)
-    when some invariant separates, Unresolved otherwise.  A failed witness
-    search alone never yields Distinct."""
+    """Conjugate(witness) when a permutation witness exists, else
+    Distinct(name): the first signature field that differs, or NO_WITNESS
+    when the signatures agree.  The search is complete and conjugacy needs
+    a permutation witness (module docstring), so both verdicts are exact."""
     sigma = perm_conjugate(a, b)
-    if sigma is not None:
-        image = permute_subalgebra(a, sigma)
-        if image is None or not same_algebra(image, b):
-            raise AssertionError("witness failed re-verification")
-        return conjugate_verdict(sigma)
-    name = separate(signature(a), signature(b))
-    if name is not None:
-        return distinct_verdict(name)
-    return UNRESOLVED
+    if sigma is None:
+        name = separate(signature(a), signature(b)) or NO_WITNESS
+        return ConjugacyVerdict("distinct", separator=name)
+    image = permute_subalgebra(a, sigma)
+    if image is None or not same_algebra(image, b):
+        raise AssertionError("witness failed re-verification")
+    return ConjugacyVerdict("conjugate", witness=sigma)
 
 
 @dataclass(frozen=True)
@@ -303,22 +302,14 @@ class ClassPartition:
     """Partition of a member list into conjugacy classes.
 
     classes holds member indices; every within-class consecutive pair has a
-    verified witness edge, and every cross-class pair either appears in
-    separators (with the first separating invariant) or in unresolved.
+    verified witness edge.  separators holds one (c, d, name) entry per pair
+    c < d of indices into classes, with the name decide gives their members.
     """
 
     members: tuple[RegularSubalgebra, ...]
     classes: tuple[tuple[int, ...], ...]
     witness_edges: tuple[tuple[int, int, Perm], ...]
     separators: tuple[tuple[int, int, str], ...]
-    unresolved: tuple[tuple[int, int], ...] = ()
-    labels: tuple[str, ...] | None = None
-
-    def class_of(self, idx: int) -> int:
-        for c, members in enumerate(self.classes):
-            if idx in members:
-                return c
-        raise KeyError(idx)
 
     def to_json(self):
         descs = [m.descriptor() for m in self.members]
@@ -329,29 +320,31 @@ class ClassPartition:
              for i, j, sigma in self.witness_edges],
             key=pair_key,
         )
+        first = [min(descs[i] for i in cls) for cls in self.classes]
         separators = sorted(
-            [{"a": descs[i], "b": descs[j], "invariant": name}
-             for i, j, name in self.separators],
-            key=pair_key,
-        )
-        unresolved = sorted(
-            [{"a": descs[i], "b": descs[j]} for i, j in self.unresolved],
+            [dict(zip("ab", sorted((first[c], first[d]))), invariant=name)
+             for c, d, name in self.separators],
             key=pair_key,
         )
         return {
             "classes": classes,
             "witnesses": witnesses,
             "separators": separators,
-            "unresolved": unresolved,
+            # every pair is decided; the empty list stays because the
+            # benchmark worker (perfbench/worker.py) still reads this key
+            "unresolved": [],
         }
 
 
 def classify_family(members) -> ClassPartition:
     """Group members into conjugacy classes by witness search, merging only
-    on verified witnesses; signature comparison fills the separator table.
+    on verified witnesses, and name one separator per pair of classes.
 
     Witness existence is an equivalence, so one failed scan against a
-    component representative rules out the whole component.
+    component representative rules out the whole component.  A class never
+    spans two signature groups, so the separator of two classes is that of
+    their representatives: the first differing signature field, or
+    NO_WITNESS for two classes of one group.
     """
     members = tuple(members)
     if not members:
@@ -398,29 +391,11 @@ def classify_family(members) -> ClassPartition:
                 raise AssertionError("composed witness failed re-verification")
             edges.append((a, b, sigma))
 
-    class_index = {}
-    for c, cls in enumerate(classes):
-        for idx in cls:
-            class_index[idx] = c
-    separators = []
-    unresolved = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if class_index[i] == class_index[j]:
-                continue
-            name = separate(sigs[i], sigs[j])
-            if name is None:
-                unresolved.append((i, j))
-            else:
-                separators.append((i, j, name))
-
-    return ClassPartition(
-        members=members,
-        classes=classes,
-        witness_edges=tuple(edges),
-        separators=tuple(separators),
-        unresolved=tuple(unresolved),
+    separators = tuple(
+        (c, d, separate(sigs[classes[c][0]], sigs[classes[d][0]]) or NO_WITNESS)
+        for c, d in combinations(range(len(classes)), 2)
     )
+    return ClassPartition(members, classes, tuple(edges), separators)
 
 
 # ── explicit witness recipes ────────────────────────────────────────────

@@ -273,8 +273,10 @@ def _condense(text: str) -> tuple[str, list[int]]:
     return "".join(out), positions
 
 
-def parse_descriptor(text: str) -> RegularSubalgebra:
-    """Parse the subalgebra text format accepted by every CLI command."""
+def parse_descriptor(text: str, max_n: int | None = None) -> RegularSubalgebra:
+    """Parse the subalgebra text format accepted by every CLI command.
+
+    An n above max_n is rejected before any length-n vector is built."""
     condensed, posmap = _condense(text)
 
     def err(message: str, start: int, token: str) -> DescriptorError:
@@ -303,6 +305,8 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
             if not value.isdigit():
                 raise err("n must be a positive integer", seg_start + 2, value)
             n = int(value)
+            if max_n is not None and n > max_n:
+                raise err(f"n must be at most {max_n}", seg_start + 2, value)
         elif key == "nil":
             if not value:
                 continue

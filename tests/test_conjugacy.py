@@ -12,6 +12,7 @@ from regalg.core import (
     h_vector,
 )
 from regalg.conjugacy import (
+    NO_WITNESS,
     RecipeError,
     classify_family,
     compose_perm,
@@ -154,6 +155,15 @@ class TestDecide:
         image = permute_subalgebra(a, verdict.witness)
         assert image is not None and same_algebra(image, b)
 
+    def test_witness_free_pair_is_distinct(self):
+        # M_{2,1} and M_{2,2} at n=3: equal signatures and no permutation
+        # witness, which proves them non-conjugate
+        members = {lab.text(): alg for lab, alg in enum_codim2(3)}
+        a, b = members["M_{2,1}"], members["M_{2,2}"]
+        assert signature(a) == signature(b)
+        verdict = decide(a, b)
+        assert verdict.kind == "distinct" and verdict.separator == NO_WITNESS
+
     def test_self_conjugate(self):
         algebra = nil_algebra(4, [(1, 2)])
         verdict = decide(algebra, algebra)
@@ -167,8 +177,9 @@ class TestDecide:
             if verdict.is_conjugate:
                 image = permute_subalgebra(a, verdict.witness)
                 assert image is not None and same_algebra(image, b)
-            elif verdict.kind == "distinct":
-                assert signature(a) != signature(b)
+            else:
+                assert verdict.kind == "distinct"
+                assert (verdict.separator == NO_WITNESS) == (signature(a) == signature(b))
 
 
 class TestClassifyFamily:
@@ -176,7 +187,6 @@ class TestClassifyFamily:
         part = classify_family([alg for _, alg in enum_codim1(4)])
         assert len(part.classes) == 6
         assert all(len(cls) == 1 for cls in part.classes)
-        assert not part.unresolved
 
     def test_codim2_nilpotent_partition(self):
         members = [
@@ -196,7 +206,6 @@ class TestClassifyFamily:
         ]
         singles = [labels[cls[0]].text() for cls in part.classes if len(cls) == 1]
         assert sorted(singles) == ["N_{1,3}", "N_{1,4}", "N_{2,4}"]
-        assert not part.unresolved
 
     def test_witness_edges_verified(self):
         members = [alg for _, alg in enum_codim2(4)]
@@ -206,15 +215,11 @@ class TestClassifyFamily:
             assert image is not None and same_algebra(image, part.members[b])
 
     def test_cross_pairs_covered(self):
-        members = [alg for _, alg in enum_codim1(4)]
-        part = classify_family(members)
-        covered = {(i, j) for i, j, _ in part.separators} | set(part.unresolved)
-        cross = {
-            (i, j)
-            for i, j in combinations(range(len(members)), 2)
-            if part.class_of(i) != part.class_of(j)
-        }
-        assert covered == cross
+        # one separator per pair of classes, each pair exactly once
+        for members in (enum_codim1(4), enum_codim2(3)):
+            part = classify_family([alg for _, alg in members])
+            pairs = [(c, d) for c, d, _ in part.separators]
+            assert pairs == list(combinations(range(len(part.classes)), 2))
 
     def test_mixed_n_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -4,6 +4,8 @@ vectors by one annihilator, minimum rank by the column matroid's
 hyperplanes, and the pruned witness search by the full n! scan; and the
 soundness of signatures and verdicts under relabeling."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from regalg import linalg
 from regalg.conjugacy import (
     _column_relations,
     _witness_scan,
+    classify_family,
     decide,
     permute_subalgebra,
     same_algebra,
@@ -55,9 +58,9 @@ def cartan_spans(draw, n):
 
 
 @st.composite
-def closed_algebras(draw, max_n):
+def closed_algebras(draw, max_n, min_n=2):
     """A closed nil set and a Cartan span; one draw in four is Cartan-only."""
-    n = draw(st.integers(2, max_n))
+    n = draw(st.integers(min_n, max_n))
     pairs = set() if draw(st.integers(0, 3)) == 0 else draw(
         st.sets(st.sampled_from(sorted(full_nil_set(n)))))
     return RegularSubalgebra(n, transitive_closure(n, pairs), draw(cartan_spans(n)))
@@ -235,3 +238,32 @@ def test_relabeled_copy_is_decided_conjugate(pair):
     assert verdict.kind == "conjugate"
     image = permute_subalgebra(a, verdict.witness)
     assert image is not None and same_algebra(image, b)
+
+
+@st.composite
+def relabeled_families(draw):
+    """Closed algebras at one n <= 6: up to three drawn ones, each followed
+    by relabeled copies, some of which get another Cartan span on the
+    relabeled nil set."""
+    n = draw(st.integers(2, 6))
+    members = []
+    for a in draw(st.lists(closed_algebras(max_n=n, min_n=n), min_size=1, max_size=3)):
+        members.append(a)
+        for _ in range(draw(st.integers(0, 2))):
+            b = permute_subalgebra(a, draw(upper_relabelings(a)))
+            if draw(st.booleans()):
+                b = RegularSubalgebra(n, b.nil_set, draw(cartan_spans(n)))
+            members.append(b)
+    return members
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabeled_families())
+@example([alg for _, alg in enum_codim2(3)])  # holds a witness-free pair
+def test_classify_family_agrees_with_decide(members):
+    part = classify_family(members)
+    class_of = {i: c for c, cls in enumerate(part.classes) for i in cls}
+    for i, j in combinations(range(len(members)), 2):
+        assert (class_of[i] == class_of[j]) == decide(members[i], members[j]).is_conjugate
+    for c, d, name in part.separators:
+        assert name == decide(members[part.classes[c][0]], members[part.classes[d][0]]).separator
