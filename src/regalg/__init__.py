@@ -20,6 +20,7 @@ from .core import (
     h_vector,
     is_closed,
     parse_descriptor,
+    require_closed,
 )
 from .conjugacy import (
     ClassPartition,
@@ -67,6 +68,7 @@ __all__ = [
     "parse_descriptor",
     "perm_conjugate",
     "permute_subalgebra",
+    "require_closed",
     "separate",
     "signature",
 ]

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .conjugacy import classify_family, decide
-from .core import RegularSubalgebra, closure_defect, is_closed, parse_descriptor
+from .core import RegularSubalgebra, parse_descriptor
 from .families import (
     FamilyLabel,
     dim2_count_audit,
@@ -167,12 +167,6 @@ def cmd_enumerate(args) -> int:
 
 def cmd_invariants(args) -> int:
     algebra = parse_descriptor(args.descriptor, DESCRIPTOR_MAX_N)
-    if not is_closed(algebra):
-        defects = closure_defect(algebra)
-        raise CommandError(
-            "subalgebra is not closed; bracket-generated positions missing: "
-            + ", ".join(f"({i},{j})" for i, j in defects)
-        )
     sig = signature(algebra)
     report = {
         "command": "invariants",
@@ -188,9 +182,6 @@ def cmd_invariants(args) -> int:
 def cmd_decide(args) -> int:
     a = parse_descriptor(args.descriptor_a, DESCRIPTOR_MAX_N)
     b = parse_descriptor(args.descriptor_b, DESCRIPTOR_MAX_N)
-    for d in (a, b):
-        if not is_closed(d):
-            raise CommandError(f"not closed: {d.descriptor()}; missing {closure_defect(d)}")
     verdict = decide(a, b)
     report = {
         "command": "decide",

@@ -27,13 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .core import (
-    DimensionMismatchError,
-    NotClosedError,
-    RegularSubalgebra,
-    closure_defect,
-    is_closed,
-)
+from .core import DimensionMismatchError, RegularSubalgebra, _reach, require_closed
 from .families import FamilyLabel
 from .invariants import InvariantSignature, separate, signature
 
@@ -119,29 +113,21 @@ def permute_subalgebra(algebra: RegularSubalgebra, sigma) -> RegularSubalgebra |
 def same_algebra(a: RegularSubalgebra, b: RegularSubalgebra) -> bool:
     """Equality as subalgebras: identical nil sets and equal diagonal spans
     (compared through the canonical basis, not the stored generator lists)."""
-    return (
-        a.n == b.n
-        and a.nil_set == b.nil_set
-        and linalg.rref_primitive(a.cartan_gens) == linalg.rref_primitive(b.cartan_gens)
-    )
+    return a.n == b.n and a.nil_set == b.nil_set and a.cartan_basis == b.cartan_basis
+
+
+def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
+    """The relabeling sigma carries a onto b.  Every witness is re-verified
+    through this check before it is reported."""
+    image = permute_subalgebra(a, sigma)
+    return image is not None and same_algebra(image, b)
 
 
 def _require_pair(a: RegularSubalgebra, b: RegularSubalgebra) -> None:
     if a.n != b.n:
         raise DimensionMismatchError(f"operands have n={a.n} and n={b.n}")
-    for x in (a, b):
-        if not is_closed(x):
-            raise NotClosedError(closure_defect(x))
-
-
-def _nil_masks(algebra: RegularSubalgebra) -> tuple[list[int], list[int]]:
-    """Out- and in-neighbour bitmasks of the nil relation, 0-based: bit j of
-    out[i] is set iff (i+1, j+1) is a nil position, and in[j] the reverse."""
-    out, inn = [0] * algebra.n, [0] * algebra.n
-    for i, j in algebra.nil_set:
-        out[i - 1] |= 1 << (j - 1)
-        inn[j - 1] |= 1 << (i - 1)
-    return out, inn
+    require_closed(a)
+    require_closed(b)
 
 
 def _column_relations(gens, n: int) -> list[tuple[int, tuple[tuple[int, int], ...]] | None]:
@@ -189,8 +175,10 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
     n = a.n
     if len(a.cartan_gens) != len(b.cartan_gens) or len(a.nil_set) != len(b.nil_set):
         return None
-    a_out, a_in = _nil_masks(a)
-    b_out, b_in = _nil_masks(b)
+    a_out, b_out = a.nil_rows, b.nil_rows
+    # in-neighbour masks: bit i of in[j] is set iff bit j of out[i] is
+    a_in, b_in = ([sum(1 << i for i, row in enumerate(out) if row >> j & 1) for j in range(n)]
+                  for out in (a_out, b_out))
     a_cols = list(zip(*a.cartan_gens)) or [()] * n
     b_cols = list(zip(*b.cartan_gens)) or [()] * n
     a_colour = [(a_out[i].bit_count(), a_in[i].bit_count(), any(a_cols[i])) for i in range(n)]
@@ -198,23 +186,17 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
     if sorted(a_colour) != sorted(b_colour):
         return None
     candidates = [[t for t in range(n) if b_colour[t] == a_colour[k]] for k in range(n)]
-    relations = _column_relations(a.cartan_gens, n)
+    relations = _column_relations(a.cartan_basis, n)
     sigma = [0] * n
+    sigma_bit = [0] * n  # 1 << sigma[k]
     basis: list[tuple[int, list[int]]] = []  # b's columns at independent targets, reduced
-
-    def image(mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << sigma[low.bit_length() - 1]
-            mask ^= low
-        return out
 
     def extend(k: int, used: int) -> bool:
         if k == n:
             return True
         prefix = (1 << k) - 1
-        want_out, want_in = image(a_out[k] & prefix), image(a_in[k] & prefix)
+        want_out = _reach(sigma_bit, a_out[k] & prefix)
+        want_in = _reach(sigma_bit, a_in[k] & prefix)
         relation = relations[k]
         if relation is not None:
             d, coeffs = relation
@@ -223,7 +205,7 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
         for t in candidates[k]:
             if used >> t & 1 or b_out[t] & used != want_out or b_in[t] & used != want_in:
                 continue
-            sigma[k] = t
+            sigma[k], sigma_bit[k] = t, 1 << t
             if relation is not None:
                 if [d * x for x in b_cols[t]] == want_col and extend(k + 1, used | 1 << t):
                     return True
@@ -243,24 +225,6 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
     if not extend(0, 0):
         return None
     return tuple(t + 1 for t in sigma)
-
-
-def perm_conjugate(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
-    """First permutation (in lexicographic order) carrying a exactly onto b,
-    or None when no permutation does.
-
-    Signature equality is checked first as a cheap necessary condition, so
-    differing signatures give None at any n.  The search (guarded at n <= 8)
-    covers all n! candidates in lexicographic order but skips every branch
-    below a partial assignment that no witness can extend, so it returns the
-    same permutation as a full scan would.
-    """
-    _require_pair(a, b)
-    if signature(a) != signature(b):
-        return None
-    if a.n > PERM_SEARCH_MAX_N:
-        raise ValueError(f"witness search guarded at n <= {PERM_SEARCH_MAX_N}, got n={a.n}")
-    return _witness_scan(a, b)
 
 
 @dataclass(frozen=True)
@@ -286,15 +250,29 @@ def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
     """Conjugate(witness) when a permutation witness exists, else
     Distinct(name): the first signature field that differs, or NO_WITNESS
     when the signatures agree.  The search is complete and conjugacy needs
-    a permutation witness (module docstring), so both verdicts are exact."""
-    sigma = perm_conjugate(a, b)
-    if sigma is None:
-        name = separate(signature(a), signature(b)) or NO_WITNESS
+    a permutation witness (module docstring), so both verdicts are exact.
+
+    Signatures are compared first, at any n; only equal signatures reach
+    the witness search, which is guarded at n <= PERM_SEARCH_MAX_N.
+    """
+    _require_pair(a, b)
+    name = separate(signature(a), signature(b))
+    if name is not None:
         return ConjugacyVerdict("distinct", separator=name)
-    image = permute_subalgebra(a, sigma)
-    if image is None or not same_algebra(image, b):
+    if a.n > PERM_SEARCH_MAX_N:
+        raise ValueError(f"witness search guarded at n <= {PERM_SEARCH_MAX_N}, got n={a.n}")
+    sigma = _witness_scan(a, b)
+    if sigma is None:
+        return ConjugacyVerdict("distinct", separator=NO_WITNESS)
+    if not maps_onto(a, sigma, b):
         raise AssertionError("witness failed re-verification")
     return ConjugacyVerdict("conjugate", witness=sigma)
+
+
+def perm_conjugate(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
+    """First permutation (in lexicographic order) carrying a exactly onto b,
+    re-verified, or None when no permutation does: the witness of decide."""
+    return decide(a, b).witness
 
 
 @dataclass(frozen=True)
@@ -353,8 +331,7 @@ def classify_family(members) -> ClassPartition:
     for m in members:
         if m.n != n:
             raise DimensionMismatchError("members mix different n")
-        if not is_closed(m):
-            raise NotClosedError(closure_defect(m))
+        require_closed(m)
     sigs = [signature(m) for m in members]
 
     groups: dict[InvariantSignature, list[int]] = {}
@@ -386,8 +363,7 @@ def classify_family(members) -> ClassPartition:
     for cls in classes:
         for a, b in zip(cls, cls[1:]):
             sigma = compose_perm(invert_perm(to_rep[b]), to_rep[a])
-            image = permute_subalgebra(members[a], sigma)
-            if image is None or not same_algebra(image, members[b]):
+            if not maps_onto(members[a], sigma, members[b]):
                 raise AssertionError("composed witness failed re-verification")
             edges.append((a, b, sigma))
 

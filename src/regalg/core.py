@@ -20,10 +20,11 @@ class DimensionMismatchError(ValueError):
 class NotClosedError(ValueError):
     """Operation requires a bracket-closed subalgebra."""
 
-    def __init__(self, defects: list[tuple[int, int]]):
+    def __init__(self, descriptor: str, defects: list[tuple[int, int]]):
+        self.descriptor = descriptor
         self.defects = defects
         missing = ", ".join(f"({i},{j})" for i, j in defects)
-        super().__init__(f"not closed under the bracket; missing positions: {missing}")
+        super().__init__(f"{descriptor!r} is not closed under the bracket; missing positions: {missing}")
 
 
 class DescriptorError(ValueError):
@@ -137,20 +138,29 @@ class RegularSubalgebra:
     Cartan generators must have int entries and be linearly independent
     over the rationals; duplicates are rejected at construction rather than
     deduplicated.
+
+    Construction also derives, once, the two forms every layer reads:
+    nil_rows, where bit j-1 of row i-1 is set iff (i,j) is a nil position,
+    and cartan_basis, the canonical basis (linalg.rref_primitive) of the
+    diagonal span.  Neither takes part in equality, hashing or repr.
     """
 
     n: int
     nil_set: frozenset[tuple[int, int]] = field(default_factory=frozenset)
     cartan_gens: tuple[tuple[int, ...], ...] = ()
+    nil_rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    cartan_basis: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nil_set", frozenset(self.nil_set))
         object.__setattr__(self, "cartan_gens", tuple(tuple(v) for v in self.cartan_gens))
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
+        rows = [0] * self.n
         for i, j in self.nil_set:
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"invalid nilpotent position ({i},{j}) for n={self.n}")
+            rows[i - 1] |= 1 << (j - 1)
         for v in self.cartan_gens:
             if not all(isinstance(x, int) for x in v):
                 raise ValueError(f"cartan generator {v} has a non-integer entry")
@@ -158,8 +168,11 @@ class RegularSubalgebra:
                 raise ValueError(f"cartan generator {v} has length {len(v)}, expected {self.n}")
             if sum(v) != 0:
                 raise ValueError(f"cartan generator {v} is not traceless")
-        if self.cartan_gens and linalg.rank(self.cartan_gens) != len(self.cartan_gens):
+        basis = linalg.rref_primitive(self.cartan_gens) if self.cartan_gens else ()
+        if len(basis) != len(self.cartan_gens):
             raise ValueError("cartan generators are linearly dependent")
+        object.__setattr__(self, "nil_rows", tuple(rows))
+        object.__setattr__(self, "cartan_basis", basis)
 
     @property
     def dim(self) -> int:
@@ -192,20 +205,23 @@ def full_cartan(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(h_vector(n, k) for k in range(1, n))
 
 
+def _reach(rows, mask: int) -> int:
+    """OR of rows[k] over the set bits k of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _closure_gaps(algebra: RegularSubalgebra):
     """For rows i = 1..n in turn, the bitmask (bit l-1) of the positions
     (i,l) with (i,k),(k,l) in the nil set for some k but (i,l) absent: the
     OR of the rows that row i reaches, less row i itself."""
-    rows = [0] * algebra.n
-    for i, j in algebra.nil_set:
-        rows[i - 1] |= 1 << (j - 1)
+    rows = algebra.nil_rows
     for row in rows:
-        reach, r = 0, row
-        while r:
-            low = r & -r
-            reach |= rows[low.bit_length() - 1]
-            r ^= low
-        yield reach & ~row
+        yield _reach(rows, row) & ~row
 
 
 def is_closed(algebra: RegularSubalgebra) -> bool:
@@ -230,6 +246,13 @@ def closure_defect(algebra: RegularSubalgebra) -> list[tuple[int, int]]:
             missing.append((i, low.bit_length()))
             gap ^= low
     return missing
+
+
+def require_closed(algebra: RegularSubalgebra) -> None:
+    """Raise NotClosedError, naming the descriptor and the missing
+    positions, unless the algebra is closed."""
+    if not is_closed(algebra):
+        raise NotClosedError(algebra.descriptor(), closure_defect(algebra))
 
 
 def dimension_bound(algebra: RegularSubalgebra, missing: tuple[int, int]) -> int:
@@ -302,7 +325,7 @@ def parse_descriptor(text: str, max_n: int | None = None) -> RegularSubalgebra:
             raise err("duplicate segment", seg_start, key)
         seen.add(key)
         if key == "n":
-            if not value.isdigit():
+            if not value.isdecimal():
                 raise err("n must be a positive integer", seg_start + 2, value)
             n = int(value)
             if max_n is not None and n > max_n:
@@ -312,7 +335,7 @@ def parse_descriptor(text: str, max_n: int | None = None) -> RegularSubalgebra:
                 continue
             cursor = seg_start + len("nil=")
             rest = value
-            while rest:
+            while True:
                 m = _NIL_PAIR.match(rest)
                 if not m:
                     raise err("expected (i,j) pair", cursor, rest)
@@ -322,9 +345,12 @@ def parse_descriptor(text: str, max_n: int | None = None) -> RegularSubalgebra:
                 nil_pairs.add(pair)
                 rest = rest[m.end():]
                 cursor += m.end()
-                if rest.startswith(","):
-                    rest = rest[1:]
-                    cursor += 1
+                if not rest:
+                    break
+                if not rest.startswith(","):
+                    raise err("expected ',' between pairs", cursor, rest)
+                rest = rest[1:]
+                cursor += 1
         elif key == "cartan":
             if not value:
                 continue

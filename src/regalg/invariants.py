@@ -11,17 +11,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .core import NotClosedError, RegularSubalgebra, closure_defect, is_closed
+from .core import RegularSubalgebra, require_closed
 from .starcalc import (
     SupportVector,
-    _action_dim_seq,
-    _derived_series_dims,
+    action_dim_seq,
     adjoint_image_pattern,
     col_action,
+    derived_series_dims,
     diag_eigen_multiset,
     generic_max_rank,
     min_rank,
-    nil_star,
     row_action,
 )
 
@@ -97,7 +96,7 @@ def root_vectors_in_span(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], .
     iff annihilator columns p and q are equal.
     """
     n = algebra.n
-    columns = list(zip(*linalg.annihilator(algebra.cartan_gens, n)))
+    columns = list(zip(*linalg.annihilator(algebra.cartan_basis, n)))
     out = []
     for p in range(n - 1):
         for q in range(p + 1, n):
@@ -132,8 +131,7 @@ def _empty_row_anchored_flag(algebra: RegularSubalgebra) -> bool:
     is a combination of the generators, so the generators answer it for
     every basis of the span.
     """
-    star = nil_star(algebra)
-    empty_rows = [i for i in range(algebra.n) if star.rows[i] == 0]
+    empty_rows = [i for i, row in enumerate(algebra.nil_rows) if not row]
     return any(v[i] for v in algebra.cartan_gens for i in empty_rows)
 
 
@@ -143,11 +141,9 @@ def signature(algebra: RegularSubalgebra) -> InvariantSignature:
 
     Series and action sequences are taken on the maximal nilpotent part;
     dim and the rank fields see the whole algebra.  Every field comes from
-    an exact, deterministic kernel.  Closure is checked once, here; the
-    series and action kernels below skip their own checks.
+    an exact, deterministic kernel.
     """
-    if not is_closed(algebra):
-        raise NotClosedError(closure_defect(algebra))
+    require_closed(algebra)
     nil_part = algebra.nil_part()
     records = tuple(sorted(
         (_cartan_record(h, algebra) for h in root_vectors_in_span(algebra)),
@@ -162,9 +158,9 @@ def signature(algebra: RegularSubalgebra) -> InvariantSignature:
     return InvariantSignature(
         dim=algebra.dim,
         nil_dim=algebra.nil_dim,
-        derived_dims=tuple(_derived_series_dims(nil_part)),
-        col_action_seq=tuple(_action_dim_seq(nil_part, "column")),
-        row_action_seq=tuple(_action_dim_seq(nil_part, "row")),
+        derived_dims=tuple(derived_series_dims(nil_part)),
+        col_action_seq=tuple(action_dim_seq(nil_part, "column")),
+        row_action_seq=tuple(action_dim_seq(nil_part, "row")),
         max_rank=max_rank,
         min_rank=min_rank_value,
         cartan_signature=records,

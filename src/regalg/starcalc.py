@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .core import (
-    DimensionMismatchError,
-    NotClosedError,
-    RegularSubalgebra,
-    closure_defect,
-    is_closed,
-)
+from .core import DimensionMismatchError, RegularSubalgebra, _reach, require_closed
 
 
 @dataclass(frozen=True)
@@ -111,23 +105,14 @@ class SupportVector:
 
 def nil_star(algebra: RegularSubalgebra) -> StarMatrix:
     """Pattern of the nilpotent part: a star at each nil position."""
-    return StarMatrix.from_positions(algebra.n, algebra.nil_set)
+    return StarMatrix(algebra.n, algebra.nil_rows)
 
 
 def bool_mul(x: StarMatrix, y: StarMatrix) -> StarMatrix:
     """Boolean matrix product: (XY)(i,l) = OR_k X(i,k) AND Y(k,l)."""
     if x.n != y.n:
         raise DimensionMismatchError(f"pattern sizes {x.n} and {y.n} differ")
-    rows = []
-    for row in x.rows:
-        acc = 0
-        r = row
-        while r:
-            low = r & -r
-            acc |= y.rows[low.bit_length() - 1]
-            r ^= low
-        rows.append(acc)
-    return StarMatrix(x.n, tuple(rows))
+    return StarMatrix(x.n, tuple(_reach(y.rows, row) for row in x.rows))
 
 
 def col_action(x: StarMatrix, v: SupportVector) -> SupportVector:
@@ -145,31 +130,19 @@ def row_action(v: SupportVector, x: StarMatrix) -> SupportVector:
     """Right action on a row support: output j set iff column j meets v."""
     if x.n != v.n:
         raise DimensionMismatchError(f"sizes {x.n} and {v.n} differ")
-    mask = 0
-    r = v.mask
-    while r:
-        low = r & -r
-        mask |= x.rows[low.bit_length() - 1]
-        r ^= low
-    return SupportVector(x.n, mask)
-
-
-def _require_closed(algebra: RegularSubalgebra) -> None:
-    if not is_closed(algebra):
-        raise NotClosedError(closure_defect(algebra))
+    return SupportVector(x.n, _reach(x.rows, v.mask))
 
 
 def commutator_pattern(algebra: RegularSubalgebra) -> StarMatrix:
     """Pattern of the first derived term: nil-nil bracket positions plus
-    every nil position rescaled by some diagonal generator (d_i != d_j).
-    The diagonal itself never survives a commutator."""
+    every nil position rescaled by some diagonal generator (d_i != d_j),
+    i.e. in the adjoint image of that generator.  The diagonal itself never
+    survives a commutator."""
     star = nil_star(algebra)
-    pattern = bool_mul(star, star)
-    rows = list(pattern.rows)
-    for (i, j) in algebra.nil_set:
-        if any(v[i - 1] != v[j - 1] for v in algebra.cartan_gens):
-            rows[i - 1] |= 1 << (j - 1)
-    return StarMatrix(algebra.n, tuple(rows))
+    rows = bool_mul(star, star).rows
+    for v in algebra.cartan_gens:
+        rows = tuple(r | s for r, s in zip(rows, adjoint_image_pattern(v, algebra).rows))
+    return StarMatrix(algebra.n, rows)
 
 
 def derived_series_dims(algebra: RegularSubalgebra) -> list[int]:
@@ -178,12 +151,7 @@ def derived_series_dims(algebra: RegularSubalgebra) -> list[int]:
     The first entry is the full dimension; successive terms square the
     current pattern.  Stops on an empty or repeating pattern.
     """
-    _require_closed(algebra)
-    return _derived_series_dims(algebra)
-
-
-def _derived_series_dims(algebra: RegularSubalgebra) -> list[int]:
-    """derived_series_dims of an algebra already known to be closed."""
+    require_closed(algebra)
     dims = [algebra.dim]
     if algebra.dim == 0:
         return dims
@@ -207,12 +175,7 @@ def action_dim_seq(algebra: RegularSubalgebra, side: str) -> list[int]:
     """
     if side not in ("column", "row"):
         raise ValueError(f"side must be 'column' or 'row', got {side!r}")
-    _require_closed(algebra)
-    return _action_dim_seq(algebra, side)
-
-
-def _action_dim_seq(algebra: RegularSubalgebra, side: str) -> list[int]:
-    """action_dim_seq of an algebra already known to be closed."""
+    require_closed(algebra)
     star = nil_star(algebra)
     v = SupportVector.full(algebra.n)
     dims = []
@@ -234,8 +197,10 @@ def adjoint_image_pattern(h, algebra: RegularSubalgebra) -> StarMatrix:
         raise DimensionMismatchError(f"vector length {len(h)} != n={algebra.n}")
     if sum(h) != 0:
         raise ValueError(f"diagonal vector {h} is not traceless")
-    keep = [(i, j) for (i, j) in algebra.nil_set if h[i - 1] != h[j - 1]]
-    return StarMatrix.from_positions(algebra.n, keep)
+    same: dict[int, int] = {}  # entry value -> bitmask of the coordinates holding it
+    for k, x in enumerate(h):
+        same[x] = same.get(x, 0) | 1 << k
+    return StarMatrix(algebra.n, tuple(row & ~same[x] for row, x in zip(algebra.nil_rows, h)))
 
 
 def generic_max_rank(algebra_or_star) -> int:
@@ -260,7 +225,7 @@ def generic_max_rank(algebra_or_star) -> int:
     else:
         gens = algebra_or_star.cartan_gens
         rows = tuple(row | any(v[i] for v in gens) << i
-                     for i, row in enumerate(nil_star(algebra_or_star).rows))
+                     for i, row in enumerate(algebra_or_star.nil_rows))
     owner: dict[int, int] = {}  # matched column bit -> its row
     visited = 0
 
@@ -310,7 +275,7 @@ def min_rank(algebra: RegularSubalgebra) -> int:
     if algebra.nil_set:
         return 1
     n = algebra.n
-    if len(set(zip(*linalg.annihilator(algebra.cartan_gens, n)))) < n:
+    if len(set(zip(*linalg.annihilator(algebra.cartan_basis, n)))) < n:
         return 2
 
     def search(rows: list[list[int]], start: int) -> int:

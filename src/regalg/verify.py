@@ -18,7 +18,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
-from .conjugacy import classify_family, decide, permute_subalgebra, recipe_witness, same_algebra
+from .conjugacy import classify_family, decide, maps_onto, permute_subalgebra, recipe_witness
 from .core import (
     Diag,
     Nil,
@@ -73,12 +73,6 @@ def _partition_by_kind(members):
     classes = [sorted(labels[i].text() for i in cls) for cls in part.classes]
     kinds = [sorted({labels[i].kind for i in cls}) for cls in part.classes]
     return part, labels, classes, kinds
-
-
-def _maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
-    """The relabeling sigma carries a onto b."""
-    image = permute_subalgebra(a, sigma)
-    return image is not None and same_algebra(image, b)
 
 
 def codim1(n: int) -> Iterator[Check]:
@@ -229,7 +223,7 @@ def dim2(n: int) -> Iterator[Check]:
     for lab, alg in members:
         by_kind.setdefault(lab.kind, []).append((lab, alg))
     recipes = [
-        _maps_onto(aa, recipe_witness(la, lb), ab)
+        maps_onto(aa, recipe_witness(la, lb), ab)
         for kind_members in by_kind.values()
         for (la, aa), (lb, ab) in combinations(kind_members, 2)
     ]
@@ -279,11 +273,11 @@ def drc(n: int, ks: Sequence[int] = DRC_KS) -> Iterator[Check]:
             v_rc = decide(r, c)
             if k == 2:
                 for a, b, verdict in ((d, r, decide(d, r)), (r, c, v_rc), (d, c, decide(d, c))):
-                    class_ok &= verdict.is_conjugate and _maps_onto(a, verdict.witness, b)
+                    class_ok &= verdict.is_conjugate and maps_onto(a, verdict.witness, b)
             else:
                 # the commutator dims separate the diagonal removal from both
                 class_ok &= decide(d, r).separator == decide(d, c).separator == "derivedDims"
-                class_ok &= not v_rc.is_conjugate or _maps_onto(r, v_rc.witness, c)
+                class_ok &= not v_rc.is_conjugate or maps_onto(r, v_rc.witness, c)
                 ambiguity.append(
                     f"R_{index} vs C_{index} at k=3, n={n}: {v_rc.kind.upper()}"
                     + (f" witness {list(v_rc.witness)}" if v_rc.witness else "")
@@ -317,7 +311,9 @@ def kernels(n: int) -> Iterator[Check]:
         jacobi_ok &= not any(total.values())
     yield Check("kernel-jacobi", jacobi_ok, details=f"all basis triples at n={kn}")
 
-    families = [enum_codim1(kn), enum_codim2(kn), enum_dim2(kn)]
+    families = [enum_codim1(kn)]
+    if kn >= 3:  # the codim-2 and two-dimensional families start at n = 3
+        families += [enum_codim2(kn), enum_dim2(kn)]
     families += [enum_drc(kn, k) for k in range(1, kn)]
     members = [alg for family in families for _, alg in family]
     inv_ok = True

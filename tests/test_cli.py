@@ -122,6 +122,12 @@ class TestDecide:
         code, _, err = run(capsys, "decide", "n=3; nil=; cartan=H1", "n=4; nil=; cartan=H1")
         assert code == 2
 
+    def test_not_closed_operand_names_descriptor(self, capsys):
+        bad = "n=3; nil=(1,2),(2,3); cartan="
+        code, out, err = run(capsys, "decide", "n=3; nil=(1,3); cartan=", bad)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"'{bad}'" in err and "(1,3)" in err
+
     def test_signatures_compared_above_search_guard(self, capsys):
         code, report, _ = run_json(capsys, "decide", "n=9; nil=(1,2)", "n=9; nil=(1,2),(2,3),(1,3)")
         assert code == 0
@@ -228,6 +234,10 @@ class TestVerify:
         # a change to these bytes is a change to the report: record it
         _, out, _ = run(capsys, "verify", "--suite", "all", "--n", str(n), "--format", "json")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_kernels_suite_at_n2(self, capsys):
+        code, report, _ = run_json(capsys, "verify", "--suite", "kernels", "--n", "2")
+        assert code == 0 and report["passed"] == 4 and report["failed"] == 0
 
     def test_n_max_oracle_flag_rejected(self):
         with pytest.raises(SystemExit) as info:

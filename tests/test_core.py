@@ -243,6 +243,24 @@ class TestDescriptor:
         assert info.value.token == "(1,2)"
         assert info.value.position == text.rindex("(1,2)")
 
+    def test_nil_pairs_need_commas(self):
+        text = "n=3; nil=(1,2)(2,3)(1,3)"
+        with pytest.raises(DescriptorError) as info:
+            parse_descriptor(text)
+        assert info.value.position == text.index("(2,3)")
+
+    def test_nil_trailing_comma(self):
+        text = "n=3; nil=(1,2),"
+        with pytest.raises(DescriptorError) as info:
+            parse_descriptor(text)
+        assert info.value.token == "" and info.value.position == len(text)
+
+    def test_n_must_be_decimal(self):
+        # '²' passes str.isdigit but not str.isdecimal, and int() rejects it
+        with pytest.raises(DescriptorError) as info:
+            parse_descriptor("n=²")
+        assert info.value.token == "²" and info.value.position == 2
+
 
 @st.composite
 def subalgebras(draw):

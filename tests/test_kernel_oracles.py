@@ -240,6 +240,36 @@ def test_relabeled_copy_is_decided_conjugate(pair):
     assert image is not None and same_algebra(image, b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(relabeled_algebras(max_n=8), st.data())
+def test_derived_fields_match_their_oracles(pair, data):
+    """nil_rows and cartan_basis against the masks and the Fraction RREF
+    rebuilt from the stored data, and same_algebra against span equality by
+    rank, over an algebra, its relabeled image and other spans on its nil
+    set."""
+    a, sigma = pair
+    image = permute_subalgebra(a, sigma)
+    gens = list(a.cartan_gens)
+    if len(gens) > 1:
+        gens[0] = [x + y for x, y in zip(gens[0], gens[1])]
+    others = [
+        image,
+        RegularSubalgebra(a.n, a.nil_set, image.cartan_gens),
+        RegularSubalgebra(a.n, a.nil_set, gens),
+        RegularSubalgebra(a.n, a.nil_set, data.draw(cartan_spans(a.n))),
+    ]
+    for x in [a, *others]:
+        rows = [0] * x.n
+        for i, j in x.nil_set:
+            rows[i - 1] |= 1 << (j - 1)
+        assert x.nil_rows == tuple(rows)
+        assert x.cartan_basis == bruteforce.rref_primitive(x.cartan_gens)
+    for b in others:
+        ranks = {bruteforce.rank(a.cartan_gens + b.cartan_gens),
+                 bruteforce.rank(a.cartan_gens), bruteforce.rank(b.cartan_gens)}
+        assert same_algebra(a, b) == (a.nil_set == b.nil_set and len(ranks) == 1)
+
+
 @st.composite
 def relabeled_families(draw):
     """Closed algebras at one n <= 6: up to three drawn ones, each followed
