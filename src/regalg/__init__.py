@@ -33,7 +33,6 @@ from .conjugacy import (
 )
 from .families import FamilyLabel, enum_codim1, enum_codim2, enum_dim2, make_drc
 from .invariants import InvariantSignature, separate, signature
-from .starcalc import StarMatrix, SupportVector
 
 __all__ = [
     "BracketResult",
@@ -47,8 +46,6 @@ __all__ = [
     "Nil",
     "NotClosedError",
     "RegularSubalgebra",
-    "StarMatrix",
-    "SupportVector",
     "bracket",
     "classify_family",
     "closure_defect",

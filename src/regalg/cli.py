@@ -27,8 +27,7 @@ from .families import (
     make_drc,
 )
 from .invariants import signature
-from .starcalc import nil_star
-from .verify import SUITES, Check
+from .verify import SUITE_MIN_N, SUITES, Check
 
 ENUM_MIN_N, ENUM_MAX_N = 2, 8
 # largest n of an invariants or decide descriptor: min_rank (the minimum
@@ -171,7 +170,8 @@ def cmd_invariants(args) -> int:
     report = {
         "command": "invariants",
         "descriptor": algebra.descriptor(),
-        "nilPattern": nil_star(algebra).render().splitlines(),
+        "nilPattern": [" ".join("*" if row >> j & 1 else "0" for j in range(algebra.n))
+                       for row in algebra.nil_rows],
         "signature": sig.to_json(),
         "rows": [{"field": k, "value": v} for k, v in sig.to_json().items()],
     }
@@ -227,7 +227,13 @@ def cmd_verify(args) -> int:
         if args.suite not in ("drc", "all"):
             raise CommandError(f"--k applies to the drc and all suites only, not {args.suite}")
         _check_k(args.k, args.n)
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.suite == "all":
+        names = [name for name in SUITES if args.n >= SUITE_MIN_N[name]]
+    elif args.n < SUITE_MIN_N[args.suite]:
+        raise CommandError(f"the {args.suite} suite needs --n of at least "
+                           f"{SUITE_MIN_N[args.suite]}, got {args.n}")
+    else:
+        names = [args.suite]
     checks: list[Check] = []
     for name in names:
         if name == "drc" and args.k is not None:

@@ -112,8 +112,9 @@ def permute_subalgebra(algebra: RegularSubalgebra, sigma) -> RegularSubalgebra |
 
 def same_algebra(a: RegularSubalgebra, b: RegularSubalgebra) -> bool:
     """Equality as subalgebras: identical nil sets and equal diagonal spans
-    (compared through the canonical basis, not the stored generator lists)."""
-    return a.n == b.n and a.nil_set == b.nil_set and a.cartan_basis == b.cartan_basis
+    (compared through the canonical null-space basis, not the stored
+    generator lists)."""
+    return a.n == b.n and a.nil_set == b.nil_set and a.cartan_null == b.cartan_null
 
 
 def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
@@ -130,17 +131,18 @@ def _require_pair(a: RegularSubalgebra, b: RegularSubalgebra) -> None:
     require_closed(b)
 
 
-def _column_relations(gens, n: int) -> list[tuple[int, tuple[tuple[int, int], ...]] | None]:
-    """For each column k of the generator matrix: None when it is independent
-    of columns 0..k-1, else (d, ((p, m_p), ...)) with d * column k equal to
-    the integer combination of the earlier independent columns p.
+def _column_relations(null, n: int) -> list[tuple[int, tuple[tuple[int, int], ...]] | None]:
+    """For each column k of a generator matrix with annihilator `null`: None
+    when it is independent of columns 0..k-1, else (d, ((p, m_p), ...)) with
+    d * column k equal to the integer combination of the earlier independent
+    columns p.
 
     The pivot columns of the RREF are the greedy basis of the column space.
     The annihilator holds one null vector a per free column k, nonzero only
     at k and at pivots before it, so a_k * column k = sum of -a_p * column p.
     """
     out = [None] * n
-    for a in linalg.annihilator(gens, n):
+    for a in null:
         k = max(c for c, x in enumerate(a) if x)
         out[k] = (a[k], tuple((p, -x) for p, x in enumerate(a[:k]) if x))
     return out
@@ -186,7 +188,7 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
     if sorted(a_colour) != sorted(b_colour):
         return None
     candidates = [[t for t in range(n) if b_colour[t] == a_colour[k]] for k in range(n)]
-    relations = _column_relations(a.cartan_basis, n)
+    relations = _column_relations(a.cartan_null, n)
     sigma = [0] * n
     sigma_bit = [0] * n  # 1 << sigma[k]
     basis: list[tuple[int, list[int]]] = []  # b's columns at independent targets, reduced

@@ -141,15 +141,16 @@ class RegularSubalgebra:
 
     Construction also derives, once, the two forms every layer reads:
     nil_rows, where bit j-1 of row i-1 is set iff (i,j) is a nil position,
-    and cartan_basis, the canonical basis (linalg.rref_primitive) of the
-    diagonal span.  Neither takes part in equality, hashing or repr.
+    and cartan_null, the canonical basis (linalg.annihilator) of the null
+    space of the diagonal span, which determines the span.  Neither takes
+    part in equality, hashing or repr.
     """
 
     n: int
     nil_set: frozenset[tuple[int, int]] = field(default_factory=frozenset)
     cartan_gens: tuple[tuple[int, ...], ...] = ()
     nil_rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    cartan_basis: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    cartan_null: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nil_set", frozenset(self.nil_set))
@@ -172,7 +173,7 @@ class RegularSubalgebra:
         if len(basis) != len(self.cartan_gens):
             raise ValueError("cartan generators are linearly dependent")
         object.__setattr__(self, "nil_rows", tuple(rows))
-        object.__setattr__(self, "cartan_basis", basis)
+        object.__setattr__(self, "cartan_null", linalg.annihilator(basis, self.n))
 
     @property
     def dim(self) -> int:

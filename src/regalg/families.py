@@ -23,7 +23,7 @@ from .core import (
     h_vector,
     is_closed,
 )
-from .starcalc import bool_mul, nil_star
+from .starcalc import bool_mul
 
 NILPOTENT_ORACLE_MAX_N = 5
 DIM2_ORACLE_MAX_N = 6
@@ -334,10 +334,9 @@ def enum_drc(n: int, k: int) -> list[Member]:
 def drc_commutator_codim(n: int, kind: str, index: int, k: int) -> int:
     """Codimension of the commutator inside the gap-at-least-two positions,
     computed from the boolean square of the constructed pattern."""
-    pattern = nil_star(make_drc(n, kind, index, k))
-    square = bool_mul(pattern, pattern)
+    rows = make_drc(n, kind, index, k).nil_rows
     off_diag_count = n * (n - 1) // 2 - (n - 1)
-    return off_diag_count - square.count
+    return off_diag_count - sum(row.bit_count() for row in bool_mul(rows, rows))
 
 
 def drc_case(n: int, index: int, k: int) -> int:

@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import linalg
 from .core import RegularSubalgebra, require_closed
 from .starcalc import (
-    SupportVector,
     action_dim_seq,
     adjoint_image_pattern,
     col_action,
@@ -96,7 +94,7 @@ def root_vectors_in_span(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], .
     iff annihilator columns p and q are equal.
     """
     n = algebra.n
-    columns = list(zip(*linalg.annihilator(algebra.cartan_basis, n)))
+    columns = list(zip(*algebra.cartan_null))
     out = []
     for p in range(n - 1):
         for q in range(p + 1, n):
@@ -109,11 +107,11 @@ def root_vectors_in_span(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], .
 
 def _cartan_record(h: tuple[int, ...], algebra: RegularSubalgebra) -> CartanRecord:
     pattern = adjoint_image_pattern(h, algebra)
-    full = SupportVector.full(algebra.n)
+    full = (1 << algebra.n) - 1
     return CartanRecord(
         eigen_multiset=diag_eigen_multiset(h),
-        adj_col_dim=col_action(pattern, full).size,
-        adj_row_dim=row_action(full, pattern).size,
+        adj_col_dim=col_action(pattern, full).bit_count(),
+        adj_row_dim=row_action(full, pattern).bit_count(),
         adj_max_rank=generic_max_rank(pattern),
     )
 

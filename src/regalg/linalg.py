@@ -43,13 +43,9 @@ def rref_primitive(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in reduced)
 
 
-def rank(rows) -> int:
-    """Rank of a matrix given as an iterable of integer rows."""
-    return len(rref_primitive(rows))
-
-
-def annihilator(rows, n: int) -> tuple[tuple[int, ...], ...]:
-    """Primitive integer basis of {a in Q^n : r . a = 0 for every row r}.
+def annihilator(reduced, n: int) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer basis of {a in Q^n : r . a = 0 for every row r},
+    given the canonical basis `reduced` (rref_primitive) of the rows.
 
     One basis vector per free column f of the RREF: a_f = L and
     a_p = -row[f] * L / row[p] at each pivot p, with L the lcm of the
@@ -57,7 +53,6 @@ def annihilator(rows, n: int) -> tuple[tuple[int, ...], ...]:
     row span is exactly the set of vectors orthogonal to every basis vector,
     so membership in it is a set of integer dot products.
     """
-    reduced = rref_primitive(rows)
     pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
     scale = lcm(*(row[p] for row, p in zip(reduced, pivots)))
     out = []

@@ -6,164 +6,76 @@ their actions on support vectors compute commutator shapes, series
 dimensions, and row/column ranks without any arithmetic cancellation
 (spans of distinct matrix units never cancel).
 
-Rows are stored as integer bitmasks, bit j-1 for column j.
+A pattern is a tuple of n row bitmasks, bit j-1 of row i-1 set iff (i,j) is
+starred: the form of RegularSubalgebra.nil_rows.  A support is an int, bit
+i-1 for coordinate i.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import linalg
 from .core import DimensionMismatchError, RegularSubalgebra, _reach, require_closed
 
 
-@dataclass(frozen=True)
-class StarMatrix:
-    """n x n boolean pattern; rows are column bitmasks."""
-
-    n: int
-    rows: tuple[int, ...]
-
-    @classmethod
-    def from_positions(cls, n: int, positions) -> "StarMatrix":
-        rows = [0] * n
-        for i, j in positions:
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"position ({i},{j}) out of range for n={n}")
-            rows[i - 1] |= 1 << (j - 1)
-        return cls(n, tuple(rows))
-
-    @classmethod
-    def zeros(cls, n: int) -> "StarMatrix":
-        return cls(n, (0,) * n)
-
-    @classmethod
-    def full_upper(cls, n: int) -> "StarMatrix":
-        rows = tuple(((1 << n) - 1) ^ ((1 << i) - 1) for i in range(1, n + 1))
-        return cls(n, rows)
-
-    def entry(self, i: int, j: int) -> bool:
-        return bool(self.rows[i - 1] >> (j - 1) & 1)
-
-    def positions(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(1, self.n + 1):
-            row = self.rows[i - 1]
-            while row:
-                low = row & -row
-                out.append((i, low.bit_length()))
-                row ^= low
-        return out
-
-    @property
-    def count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(row == 0 for row in self.rows)
-
-    def render(self) -> str:
-        """Human-readable 0/* grid."""
-        lines = []
-        for i in range(1, self.n + 1):
-            lines.append(" ".join("*" if self.entry(i, j) else "0" for j in range(1, self.n + 1)))
-        return "\n".join(lines)
+def _check_support(x: tuple[int, ...], v: int) -> None:
+    if v >> len(x):
+        raise DimensionMismatchError(f"support {v:#b} is wider than n={len(x)}")
 
 
-@dataclass(frozen=True)
-class SupportVector:
-    """Length-n boolean support, bit i-1 for coordinate i."""
-
-    n: int
-    mask: int
-
-    @classmethod
-    def full(cls, n: int) -> "SupportVector":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def empty(cls, n: int) -> "SupportVector":
-        return cls(n, 0)
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "SupportVector":
-        mask = 0
-        for i in indices:
-            if not 1 <= i <= n:
-                raise ValueError(f"index {i} out of range for n={n}")
-            mask |= 1 << (i - 1)
-        return cls(n, mask)
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def indices(self) -> list[int]:
-        return [i for i in range(1, self.n + 1) if self.mask >> (i - 1) & 1]
-
-
-def nil_star(algebra: RegularSubalgebra) -> StarMatrix:
-    """Pattern of the nilpotent part: a star at each nil position."""
-    return StarMatrix(algebra.n, algebra.nil_rows)
-
-
-def bool_mul(x: StarMatrix, y: StarMatrix) -> StarMatrix:
+def bool_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     """Boolean matrix product: (XY)(i,l) = OR_k X(i,k) AND Y(k,l)."""
-    if x.n != y.n:
-        raise DimensionMismatchError(f"pattern sizes {x.n} and {y.n} differ")
-    return StarMatrix(x.n, tuple(_reach(y.rows, row) for row in x.rows))
+    if len(x) != len(y):
+        raise DimensionMismatchError(f"pattern sizes {len(x)} and {len(y)} differ")
+    return tuple(_reach(y, row) for row in x)
 
 
-def col_action(x: StarMatrix, v: SupportVector) -> SupportVector:
+def col_action(x: tuple[int, ...], v: int) -> int:
     """Left action on a column support: output i set iff row i meets v."""
-    if x.n != v.n:
-        raise DimensionMismatchError(f"sizes {x.n} and {v.n} differ")
+    _check_support(x, v)
     mask = 0
-    for idx, row in enumerate(x.rows):
-        if row & v.mask:
+    for idx, row in enumerate(x):
+        if row & v:
             mask |= 1 << idx
-    return SupportVector(x.n, mask)
+    return mask
 
 
-def row_action(v: SupportVector, x: StarMatrix) -> SupportVector:
+def row_action(v: int, x: tuple[int, ...]) -> int:
     """Right action on a row support: output j set iff column j meets v."""
-    if x.n != v.n:
-        raise DimensionMismatchError(f"sizes {x.n} and {v.n} differ")
-    return SupportVector(x.n, _reach(x.rows, v.mask))
+    _check_support(x, v)
+    return _reach(x, v)
 
 
-def commutator_pattern(algebra: RegularSubalgebra) -> StarMatrix:
+def commutator_pattern(algebra: RegularSubalgebra) -> tuple[int, ...]:
     """Pattern of the first derived term: nil-nil bracket positions plus
     every nil position rescaled by some diagonal generator (d_i != d_j),
     i.e. in the adjoint image of that generator.  The diagonal itself never
     survives a commutator."""
-    star = nil_star(algebra)
-    rows = bool_mul(star, star).rows
+    rows = bool_mul(algebra.nil_rows, algebra.nil_rows)
     for v in algebra.cartan_gens:
-        rows = tuple(r | s for r, s in zip(rows, adjoint_image_pattern(v, algebra).rows))
-    return StarMatrix(algebra.n, rows)
+        rows = tuple(r | s for r, s in zip(rows, adjoint_image_pattern(v, algebra)))
+    return rows
 
 
 def derived_series_dims(algebra: RegularSubalgebra) -> list[int]:
     """Dimensions along the derived series, ending at the first 0.
 
     The first entry is the full dimension; successive terms square the
-    current pattern.  Stops on an empty or repeating pattern.
+    current pattern.  Every pattern here is strictly upper triangular, so
+    the k-th square is the 2^k-th power of the first, which is 0 once
+    2^k >= n.  A repeat before then would make a nonzero power equal to a
+    higher power of itself, hence to all of its powers, 0 included; so none
+    occurs and the loop needs no guard.
     """
     require_closed(algebra)
     dims = [algebra.dim]
     if algebra.dim == 0:
         return dims
     pattern = commutator_pattern(algebra)
-    seen = set()
     while True:
-        dims.append(pattern.count)
-        if pattern.is_zero or pattern.rows in seen:
-            break
-        seen.add(pattern.rows)
+        dims.append(sum(row.bit_count() for row in pattern))
+        if not any(pattern):
+            return dims
         pattern = bool_mul(pattern, pattern)
-    return dims
 
 
 def action_dim_seq(algebra: RegularSubalgebra, side: str) -> list[int]:
@@ -171,25 +83,24 @@ def action_dim_seq(algebra: RegularSubalgebra, side: str) -> list[int]:
     support vector, ending at the first 0.
 
     side is "column" for the left action on column vectors, "row" for the
-    right action on row vectors.
+    right action on row vectors.  The nil pattern is strictly upper
+    triangular, so each column action lowers the highest set coordinate and
+    each row action raises the lowest one: the support empties within n
+    steps and never repeats.
     """
     if side not in ("column", "row"):
         raise ValueError(f"side must be 'column' or 'row', got {side!r}")
     require_closed(algebra)
-    star = nil_star(algebra)
-    v = SupportVector.full(algebra.n)
+    rows = algebra.nil_rows
+    v = (1 << algebra.n) - 1
     dims = []
-    seen = set()
-    while True:
-        v = col_action(star, v) if side == "column" else row_action(v, star)
-        dims.append(v.size)
-        if v.size == 0 or v.mask in seen:
-            break
-        seen.add(v.mask)
+    while v:
+        v = col_action(rows, v) if side == "column" else row_action(v, rows)
+        dims.append(v.bit_count())
     return dims
 
 
-def adjoint_image_pattern(h, algebra: RegularSubalgebra) -> StarMatrix:
+def adjoint_image_pattern(h, algebra: RegularSubalgebra) -> tuple[int, ...]:
     """Pattern of [h, -] restricted to the nilpotent part: a star survives
     at (i,j) iff (i,j) is a nil position and h_i != h_j."""
     h = tuple(h)
@@ -200,10 +111,10 @@ def adjoint_image_pattern(h, algebra: RegularSubalgebra) -> StarMatrix:
     same: dict[int, int] = {}  # entry value -> bitmask of the coordinates holding it
     for k, x in enumerate(h):
         same[x] = same.get(x, 0) | 1 << k
-    return StarMatrix(algebra.n, tuple(row & ~same[x] for row, x in zip(algebra.nil_rows, h)))
+    return tuple(row & ~same[x] for row, x in zip(algebra.nil_rows, h))
 
 
-def generic_max_rank(algebra_or_star) -> int:
+def generic_max_rank(algebra_or_pattern) -> int:
     """Rank of a generic element: the term rank of its support pattern,
     i.e. a maximum matching between rows and columns over the supported
     entries (for an algebra: the nil positions plus each diagonal position
@@ -220,12 +131,12 @@ def generic_max_rank(algebra_or_star) -> int:
     cancels, and the minor vanishes identically iff it has no perfect
     matching on supported entries.
     """
-    if isinstance(algebra_or_star, StarMatrix):
-        rows = algebra_or_star.rows
+    if isinstance(algebra_or_pattern, tuple):
+        rows = algebra_or_pattern
     else:
-        gens = algebra_or_star.cartan_gens
+        gens = algebra_or_pattern.cartan_gens
         rows = tuple(row | any(v[i] for v in gens) << i
-                     for i, row in enumerate(algebra_or_star.nil_rows))
+                     for i, row in enumerate(algebra_or_pattern.nil_rows))
     owner: dict[int, int] = {}  # matched column bit -> its row
     visited = 0
 
@@ -275,7 +186,7 @@ def min_rank(algebra: RegularSubalgebra) -> int:
     if algebra.nil_set:
         return 1
     n = algebra.n
-    if len(set(zip(*linalg.annihilator(algebra.cartan_basis, n)))) < n:
+    if len(set(zip(*algebra.cartan_null))) < n:
         return 2
 
     def search(rows: list[list[int]], start: int) -> int:

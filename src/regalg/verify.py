@@ -24,6 +24,7 @@ from .core import (
     Nil,
     RegularSubalgebra,
     bracket,
+    dimension_bound,
     full_nil_set,
     h_pq_vector,
     h_vector,
@@ -46,7 +47,7 @@ from .families import (
     make_drc,
 )
 from .invariants import signature
-from .starcalc import SupportVector, adjoint_image_pattern, col_action, row_action
+from .starcalc import adjoint_image_pattern, col_action, row_action
 
 DRC_KS = (1, 2, 3)
 
@@ -153,7 +154,8 @@ def codim2(n: int) -> Iterator[Check]:
             details=f"exhaustive scan of {2 ** full_count} patterns matches the constructions",
         )
         bound_ok = all(
-            max(a.nil_dim for a in oracle if (i, j) not in a.nil_set) == full_count - (j - i)
+            max(a.nil_dim for a in oracle if (i, j) not in a.nil_set)
+            == dimension_bound(RegularSubalgebra(n), (i, j))
             for i in range(1, n)
             for j in range(i + 1, n + 1)
         )
@@ -330,12 +332,12 @@ def kernels(n: int) -> Iterator[Check]:
     )
 
     full_e = RegularSubalgebra(n, full_nil_set(n), ())
-    full = SupportVector.full(n)
+    full = (1 << n) - 1
     col_dims, row_sizes = {}, {}
     for p, q in combinations(range(1, n + 1), 2):
         pattern = adjoint_image_pattern(h_pq_vector(n, p, q), full_e)
-        col_dims[p, q] = col_action(pattern, full).size
-        row_sizes.setdefault(p, set()).add(row_action(full, pattern).size)
+        col_dims[p, q] = col_action(pattern, full).bit_count()
+        row_sizes.setdefault(p, set()).add(row_action(full, pattern).bit_count())
     row_dims = {p: min(sizes) for p, sizes in row_sizes.items()}
     adj_ok = (
         all(dim == (q if q < n else n - 1) for (_, q), dim in col_dims.items())
@@ -368,3 +370,5 @@ SUITES = {
     "drc": drc,
     "kernels": kernels,
 }
+# the codim-2 and two-dimensional families start at n = 3
+SUITE_MIN_N = {"codim1": 2, "codim2": 3, "dim2": 3, "drc": 2, "kernels": 2}

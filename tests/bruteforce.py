@@ -14,10 +14,31 @@ from itertools import combinations, permutations
 from math import gcd
 
 from regalg.core import RegularSubalgebra, full_nil_set
-from regalg.starcalc import StarMatrix
 
 RANK_TRIALS = 3
 RANK_VALUE_BOUND = 2**31
+
+
+def pattern(n: int, stars) -> tuple[int, ...]:
+    """Star pattern (row bitmasks, bit j-1 of row i-1) with stars at the
+    given 1-based positions."""
+    rows = [0] * n
+    for i, j in stars:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"position ({i},{j}) out of range for n={n}")
+        rows[i - 1] |= 1 << (j - 1)
+    return tuple(rows)
+
+
+def positions(rows) -> list[tuple[int, int]]:
+    """Starred positions of a pattern, row by row, in increasing order."""
+    return [(i, j) for i, row in enumerate(rows, start=1)
+            for j in range(1, len(rows) + 1) if row >> (j - 1) & 1]
+
+
+def indices(mask: int) -> list[int]:
+    """Set coordinates of a support, 1-based, in increasing order."""
+    return [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
 
 
 def _echelonize(m: list[list[Fraction]]) -> int:
@@ -243,7 +264,7 @@ def brute_commutator_dim(algebra: RegularSubalgebra) -> int:
     return rank(produced) if produced else 0
 
 
-def instantiation_rank(algebra_or_star) -> int:
+def instantiation_rank(algebra_or_pattern) -> int:
     """Monte-Carlo generic rank: the largest exact rank over RANK_TRIALS
     instantiations with independent random entries at each star and random
     coefficients on each diagonal generator.
@@ -252,15 +273,14 @@ def instantiation_rank(algebra_or_star) -> int:
     trial lands on a rank-deficient choice is negligible.
     """
     rng = random.Random(0)
-    n = algebra_or_star.n
-    if isinstance(algebra_or_star, StarMatrix):
-        positions, gens = algebra_or_star.positions(), ()
+    if isinstance(algebra_or_pattern, tuple):
+        n, stars, gens = len(algebra_or_pattern), positions(algebra_or_pattern), ()
     else:
-        positions, gens = sorted(algebra_or_star.nil_set), algebra_or_star.cartan_gens
+        n, stars, gens = algebra_or_pattern.n, sorted(algebra_or_pattern.nil_set), algebra_or_pattern.cartan_gens
     best = 0
     for _ in range(RANK_TRIALS):
         m = [[0] * n for _ in range(n)]
-        for (i, j) in positions:
+        for (i, j) in stars:
             m[i - 1][j - 1] = rng.randrange(1, RANK_VALUE_BOUND)
         for v in gens:
             c = rng.randrange(1, RANK_VALUE_BOUND)

@@ -91,6 +91,16 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "n=3; nil=(1,2; cartan=")
         assert code == 2 and "position" in err
 
+    def test_nil_pattern_grid(self, capsys):
+        code, report, _ = run_json(capsys, "invariants", "n=4; nil=(1,3),(1,4),(3,4); cartan=")
+        assert code == 0
+        assert report["nilPattern"] == [
+            "0 0 * *",
+            "0 0 0 0",
+            "0 0 0 *",
+            "0 0 0 0",
+        ]
+
 
 class TestDecide:
     def test_conjugate_pair(self, capsys):
@@ -238,6 +248,17 @@ class TestVerify:
     def test_kernels_suite_at_n2(self, capsys):
         code, report, _ = run_json(capsys, "verify", "--suite", "kernels", "--n", "2")
         assert code == 0 and report["passed"] == 4 and report["failed"] == 0
+
+    def test_all_suite_at_n2_skips_the_n3_suites(self, capsys):
+        code, report, _ = run_json(capsys, "verify", "--suite", "all", "--n", "2")
+        assert code == 0 and report["failed"] == 0
+        assert {r["check"].split("-")[0] for r in report["rows"]} == {"codim1", "drc", "kernel"}
+
+    @pytest.mark.parametrize("suite", ["codim2", "dim2"])
+    def test_suite_below_its_minimum_n(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", "2")
+        assert code == 2 and out == ""
+        assert err == f"regalg: the {suite} suite needs --n of at least 3, got 2\n"
 
     def test_n_max_oracle_flag_rejected(self):
         with pytest.raises(SystemExit) as info:
