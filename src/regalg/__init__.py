@@ -28,7 +28,6 @@ from .conjugacy import (
     classify_family,
     decide,
     recipe_witness,
-    perm_conjugate,
     permute_subalgebra,
 )
 from .families import FamilyLabel, enum_codim1, enum_codim2, enum_dim2, make_drc
@@ -63,7 +62,6 @@ __all__ = [
     "make_drc",
     "recipe_witness",
     "parse_descriptor",
-    "perm_conjugate",
     "permute_subalgebra",
     "require_closed",
     "separate",

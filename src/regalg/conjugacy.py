@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .core import DimensionMismatchError, RegularSubalgebra, _reach, require_closed
-from .families import FamilyLabel
+from .core import DimensionMismatchError, RegularSubalgebra, _reach
+from .families import DIM2_KINDS, FamilyLabel
 from .invariants import InvariantSignature, separate, signature
 
 PERM_SEARCH_MAX_N = 8
@@ -54,12 +54,6 @@ def invert_perm(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, image in enumerate(p):
         out[image - 1] = i + 1
-    return tuple(out)
-
-
-def transposition(n: int, a: int, b: int) -> Perm:
-    out = list(range(1, n + 1))
-    out[a - 1], out[b - 1] = b, a
     return tuple(out)
 
 
@@ -122,13 +116,6 @@ def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
     through this check before it is reported."""
     image = permute_subalgebra(a, sigma)
     return image is not None and same_algebra(image, b)
-
-
-def _require_pair(a: RegularSubalgebra, b: RegularSubalgebra) -> None:
-    if a.n != b.n:
-        raise DimensionMismatchError(f"operands have n={a.n} and n={b.n}")
-    require_closed(a)
-    require_closed(b)
 
 
 def _column_relations(null, n: int) -> list[tuple[int, tuple[tuple[int, int], ...]] | None]:
@@ -254,10 +241,12 @@ def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
     when the signatures agree.  The search is complete and conjugacy needs
     a permutation witness (module docstring), so both verdicts are exact.
 
-    Signatures are compared first, at any n; only equal signatures reach
-    the witness search, which is guarded at n <= PERM_SEARCH_MAX_N.
+    Signatures are compared first, at any n (signature rejects an operand
+    that is not closed); only equal signatures reach the witness search,
+    which is guarded at n <= PERM_SEARCH_MAX_N.
     """
-    _require_pair(a, b)
+    if a.n != b.n:
+        raise DimensionMismatchError(f"operands have n={a.n} and n={b.n}")
     name = separate(signature(a), signature(b))
     if name is not None:
         return ConjugacyVerdict("distinct", separator=name)
@@ -269,12 +258,6 @@ def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
     if not maps_onto(a, sigma, b):
         raise AssertionError("witness failed re-verification")
     return ConjugacyVerdict("conjugate", witness=sigma)
-
-
-def perm_conjugate(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
-    """First permutation (in lexicographic order) carrying a exactly onto b,
-    re-verified, or None when no permutation does: the witness of decide."""
-    return decide(a, b).witness
 
 
 @dataclass(frozen=True)
@@ -330,11 +313,11 @@ def classify_family(members) -> ClassPartition:
     if not members:
         return ClassPartition((), (), (), ())
     n = members[0].n
+    sigs = []
     for m in members:
         if m.n != n:
             raise DimensionMismatchError("members mix different n")
-        require_closed(m)
-    sigs = [signature(m) for m in members]
+        sigs.append(signature(m))
 
     groups: dict[InvariantSignature, list[int]] = {}
     for idx, sig in enumerate(sigs):
@@ -379,104 +362,71 @@ def classify_family(members) -> ClassPartition:
 # ── explicit witness recipes ────────────────────────────────────────────
 #
 # Each recipe realises the index correspondence of the published
-# transposition products directly as a permutation (partial index map
-# completed to a bijection).  Composing the printed transpositions
+# transposition products directly as a permutation: the t-th anchor of
+# one label goes to the t-th anchor of the other, and the rest is
+# completed to a bijection.  Composing the printed transpositions
 # literally breaks down when their index pairs collide, so the
 # correspondence form is used for every recipe and the caller verifies the
 # result like any other candidate witness.
 
 
-def _dim2_correspondence(a: FamilyLabel, b: FamilyLabel) -> dict[int, int]:
-    kind = a.kind
-    if kind == "A1":
-        i, j, k, l = a.indices
-        m, nn, s, t = b.indices
-        return {i: m, j: nn, k: s, l: t}
-    if kind == "A2":
-        i, j, l = a.indices
-        k, m, nn = b.indices
-        return {i: k, j: m, l: nn}
-    if kind == "A3":
-        i, k, j = a.indices
-        m, s, nn = b.indices
-        return {i: m, k: s, j: nn}
-    if kind == "B1":
-        i, j, k = a.indices
-        m, nn, l = b.indices
-        return {i: m, j: nn, k: l, k + 1: l + 1}
-    if kind in ("B2", "B3"):
-        i, j, k = a.indices
-        m, nn, l = b.indices
-        # row of the unit sits at the diagonal index or one below it
-        row_map = {k: l, k + 1: l + 1} if (i == k) == (m == l) else {k: l + 1, k + 1: l}
-        row_map[j] = nn
-        return row_map
-    if kind == "B4":
-        i, j, k = a.indices
-        m, nn, l = b.indices
-        col_map = {k: l, k + 1: l + 1} if (j == k) == (nn == l) else {k: l + 1, k + 1: l}
-        col_map[i] = m
-        return col_map
-    if kind == "C1":
-        k, l = a.indices
-        m, nn = b.indices
-        return {k: m, k + 1: m + 1, l: nn, l + 1: nn + 1}
-    if kind == "C2":
-        k, _ = a.indices
-        m, _ = b.indices
-        return {k: m, k + 1: m + 1, k + 2: m + 2}
-    raise RecipeError(f"no intra-family recipe for kind {a.kind!r}")
-
-
-_NIL_TRIPLE_KINDS = ("N", "NR", "NC")
-
-
-def _triple_index(label: FamilyLabel) -> int | None:
-    """Index i when the label belongs to the conjugate triple built around
-    the i-th superdiagonal (unit pair, row pair, column pair removals)."""
-    if label.kind == "N" and label.indices[1] == label.indices[0] + 1:
-        return label.indices[0]
-    if label.kind in ("NR", "NC"):
-        return label.indices[0]
+def _recipe_group(label: FamilyLabel):
+    """The labels one recipe connects: a two-dimensional family, the
+    codimension-two nil triple around the i-th superdiagonal (unit pair,
+    row pair, column pair removals), or the row and column segments at
+    (i, k).  None when no recipe covers the label."""
+    kind, idx = label.kind, label.indices
+    if kind in DIM2_KINDS:
+        return kind
+    if kind in ("NR", "NC") or (kind == "N" and idx[1] == idx[0] + 1):
+        return ("triple", idx[0])
+    if kind in ("R", "C"):
+        return ("segment", idx[0], label.k)
     return None
 
 
-def _cycle_map(start: int, length: int) -> dict[int, int]:
-    out = {start + t: start + t + 1 for t in range(length)}
-    out[start + length] = start
-    return out
+def _anchors(label: FamilyLabel) -> tuple[int, ...]:
+    """Coordinates in the order the recipes match them up.  For B2/B3 the
+    row of the unit comes first, then its partner in {k, k+1}; B4 does the
+    same for the column.  B3 and C2 repeat a coordinate, always at the
+    same position, so it keeps one target."""
+    kind, idx = label.kind, label.indices
+    if kind in ("A1", "A2", "A3"):
+        return idx
+    if kind == "B1":
+        i, j, k = idx
+        return (i, j, k, k + 1)
+    if kind in ("B2", "B3"):
+        i, j, k = idx
+        return (i, 2 * k + 1 - i, j)
+    if kind == "B4":
+        i, j, k = idx
+        return (j, 2 * k + 1 - j, i)
+    if kind in ("C1", "C2"):
+        k, l = idx
+        return (k, k + 1, l, l + 1)
+    i = idx[0]
+    if kind == "N":
+        return (i, i + 1, i + 2)
+    if kind == "NR":
+        return (i + 1, i, i + 2)
+    if kind == "NC":
+        return (i, i + 2, i + 1)
+    if kind == "C":
+        return tuple(range(i, i + label.k + 1))
+    return (*range(i + 1, i + label.k + 1), i)  # R
 
 
 def recipe_witness(a: FamilyLabel, b: FamilyLabel) -> Perm:
-    """Composed permutation from the explicit recipe covering this pair:
+    """Permutation from the explicit recipe covering this pair:
     intra-family two-dimensional pairs, the codimension-two nil triples, and
     the column-to-row segment conjugation.  The caller verifies the result
     via permute_subalgebra."""
     if a.n != b.n:
         raise DimensionMismatchError(f"labels have n={a.n} and n={b.n}")
-    n = a.n
     if a == b:
-        return identity_perm(n)
-    if a.kind in ("A1", "A2", "A3", "B1", "B2", "B3", "B4", "C1", "C2"):
-        if b.kind != a.kind:
-            raise RecipeError(f"no recipe across families {a.kind} and {b.kind}")
-        return perm_from_partial(n, _dim2_correspondence(a, b))
-    ti, tj = _triple_index(a), _triple_index(b)
-    if ti is not None and tj is not None and ti == tj:
-        i = ti
-        moves = {
-            ("NC", "N"): transposition(n, i + 1, i + 2),
-            ("N", "NC"): transposition(n, i + 1, i + 2),
-            ("N", "NR"): transposition(n, i, i + 1),
-            ("NR", "N"): transposition(n, i, i + 1),
-            ("NC", "NR"): perm_from_partial(n, _cycle_map(i, 2)),
-            ("NR", "NC"): invert_perm(perm_from_partial(n, _cycle_map(i, 2))),
-        }
-        key = (a.kind, b.kind)
-        if key in moves:
-            return moves[key]
-    if a.kind == "C" and b.kind == "R" and a.indices == b.indices and a.k == b.k:
-        return perm_from_partial(n, _cycle_map(a.indices[0], a.k))
-    if a.kind == "R" and b.kind == "C" and a.indices == b.indices and a.k == b.k:
-        return invert_perm(perm_from_partial(n, _cycle_map(a.indices[0], a.k)))
-    raise RecipeError(f"no recipe covers the pair {a.text()} / {b.text()}")
+        return identity_perm(a.n)
+    group = _recipe_group(a)
+    if group is None or group != _recipe_group(b):
+        raise RecipeError(f"no recipe covers the pair {a.text()} / {b.text()}")
+    return perm_from_partial(a.n, dict(zip(_anchors(a), _anchors(b))))

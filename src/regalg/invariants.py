@@ -36,17 +36,15 @@ FIELD_ORDER = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CartanRecord:
-    """Per-generator invariants of the adjoint action on the nil part."""
+    """Per-generator invariants of the adjoint action on the nil part,
+    ordered field by field."""
 
     eigen_multiset: tuple[int, ...]
     adj_col_dim: int
     adj_row_dim: int
     adj_max_rank: int
-
-    def sort_key(self):
-        return (self.eigen_multiset, self.adj_col_dim, self.adj_row_dim, self.adj_max_rank)
 
     def to_json(self):
         return {
@@ -137,30 +135,21 @@ def _empty_row_anchored_flag(algebra: RegularSubalgebra) -> bool:
 def signature(algebra: RegularSubalgebra) -> InvariantSignature:
     """Full invariant tuple of a closed subalgebra.
 
-    Series and action sequences are taken on the maximal nilpotent part;
-    dim and the rank fields see the whole algebra.  Every field comes from
-    an exact, deterministic kernel.
+    Series and action sequences are taken on the maximal nilpotent part,
+    whose pattern is nil_rows; dim and the rank fields see the whole
+    algebra.  Every field comes from an exact, deterministic kernel.
     """
     require_closed(algebra)
-    nil_part = algebra.nil_part()
-    records = tuple(sorted(
-        (_cartan_record(h, algebra) for h in root_vectors_in_span(algebra)),
-        key=CartanRecord.sort_key,
-    ))
-    if algebra.dim == 0:
-        max_rank = 0
-        min_rank_value = 0
-    else:
-        max_rank = generic_max_rank(algebra)
-        min_rank_value = min_rank(algebra)
+    rows = algebra.nil_rows
+    records = tuple(sorted(_cartan_record(h, algebra) for h in root_vectors_in_span(algebra)))
     return InvariantSignature(
         dim=algebra.dim,
         nil_dim=algebra.nil_dim,
-        derived_dims=tuple(derived_series_dims(nil_part)),
-        col_action_seq=tuple(action_dim_seq(nil_part, "column")),
-        row_action_seq=tuple(action_dim_seq(nil_part, "row")),
-        max_rank=max_rank,
-        min_rank=min_rank_value,
+        derived_dims=tuple(derived_series_dims(rows)),
+        col_action_seq=tuple(action_dim_seq(rows, "column")),
+        row_action_seq=tuple(action_dim_seq(rows, "row")),
+        max_rank=generic_max_rank(algebra),
+        min_rank=min_rank(algebra) if algebra.dim else 0,
         cartan_signature=records,
         last_row_cartan_flag=_empty_row_anchored_flag(algebra),
     )

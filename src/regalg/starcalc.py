@@ -14,7 +14,7 @@ i-1 for coordinate i.
 from __future__ import annotations
 
 from . import linalg
-from .core import DimensionMismatchError, RegularSubalgebra, _reach, require_closed
+from .core import DimensionMismatchError, RegularSubalgebra, _reach
 
 
 def _check_support(x: tuple[int, ...], v: int) -> None:
@@ -56,21 +56,18 @@ def commutator_pattern(algebra: RegularSubalgebra) -> tuple[int, ...]:
     return rows
 
 
-def derived_series_dims(algebra: RegularSubalgebra) -> list[int]:
-    """Dimensions along the derived series, ending at the first 0.
+def derived_series_dims(pattern: tuple[int, ...]) -> list[int]:
+    """Sizes of a pattern and of its successive squares, ending at the
+    first 0: the derived series of a nilpotent part from its nil pattern,
+    or of a solvable algebra past its first term from commutator_pattern.
 
-    The first entry is the full dimension; successive terms square the
-    current pattern.  Every pattern here is strictly upper triangular, so
-    the k-th square is the 2^k-th power of the first, which is 0 once
-    2^k >= n.  A repeat before then would make a nonzero power equal to a
-    higher power of itself, hence to all of its powers, 0 included; so none
-    occurs and the loop needs no guard.
+    Every pattern here is strictly upper triangular, so the k-th square is
+    the 2^k-th power of the first, which is 0 once 2^k >= n.  A repeat
+    before then would make a nonzero power equal to a higher power of
+    itself, hence to all of its powers, 0 included; so none occurs and the
+    loop needs no guard.
     """
-    require_closed(algebra)
-    dims = [algebra.dim]
-    if algebra.dim == 0:
-        return dims
-    pattern = commutator_pattern(algebra)
+    dims = []
     while True:
         dims.append(sum(row.bit_count() for row in pattern))
         if not any(pattern):
@@ -78,21 +75,19 @@ def derived_series_dims(algebra: RegularSubalgebra) -> list[int]:
         pattern = bool_mul(pattern, pattern)
 
 
-def action_dim_seq(algebra: RegularSubalgebra, side: str) -> list[int]:
-    """Support sizes of successive nil-pattern powers acting on the full
-    support vector, ending at the first 0.
+def action_dim_seq(rows: tuple[int, ...], side: str) -> list[int]:
+    """Support sizes of successive powers of a nil pattern acting on the
+    full support vector, ending at the first 0.
 
     side is "column" for the left action on column vectors, "row" for the
-    right action on row vectors.  The nil pattern is strictly upper
-    triangular, so each column action lowers the highest set coordinate and
-    each row action raises the lowest one: the support empties within n
-    steps and never repeats.
+    right action on row vectors.  The pattern is strictly upper triangular,
+    so each column action lowers the highest set coordinate and each row
+    action raises the lowest one: the support empties within n steps and
+    never repeats.
     """
     if side not in ("column", "row"):
         raise ValueError(f"side must be 'column' or 'row', got {side!r}")
-    require_closed(algebra)
-    rows = algebra.nil_rows
-    v = (1 << algebra.n) - 1
+    v = (1 << len(rows)) - 1
     dims = []
     while v:
         v = col_action(rows, v) if side == "column" else row_action(v, rows)

@@ -224,7 +224,7 @@ def test_c12_kernel_properties():
         for size in (2, 3, 4):
             for algebra in enum_all_nilpotent_oracle(size):
                 dims, patterns = bruteforce.span_derived_series(algebra)
-                assert derived_series_dims(algebra) == dims
+                assert derived_series_dims(algebra.nil_rows) == dims
                 boolean = bool_mul(algebra.nil_rows, algebra.nil_rows)
                 for span_pattern in patterns:
                     assert frozenset(bruteforce.positions(boolean)) == span_pattern

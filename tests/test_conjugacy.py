@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from regalg import core
 from regalg.core import (
     DimensionMismatchError,
     NotClosedError,
@@ -19,14 +20,21 @@ from regalg.conjugacy import (
     decide,
     identity_perm,
     invert_perm,
-    recipe_witness,
-    perm_conjugate,
+    maps_onto,
     perm_from_partial,
     permute_subalgebra,
+    recipe_witness,
     same_algebra,
-    transposition,
 )
-from regalg.families import FamilyLabel, enum_codim1, enum_codim2, make_drc
+from regalg.families import (
+    DIM2_KINDS,
+    FamilyLabel,
+    enum_codim1,
+    enum_codim2,
+    enum_dim2,
+    enum_drc,
+    make_drc,
+)
 from regalg.invariants import signature
 
 
@@ -36,7 +44,7 @@ def nil_algebra(n, removed):
 
 class TestPermHelpers:
     def test_compose_applies_right_first(self):
-        tau12, tau23 = transposition(3, 1, 2), transposition(3, 2, 3)
+        tau12, tau23 = perm_from_partial(3, {1: 2, 2: 1}), perm_from_partial(3, {2: 3, 3: 2})
         assert compose_perm(tau12, tau23) == (2, 3, 1)
         assert compose_perm(tau23, tau12) == (3, 1, 2)
 
@@ -55,7 +63,7 @@ class TestPermHelpers:
 class TestPermuteSubalgebra:
     def test_column_pair_to_unit_pair(self):
         nc1 = nil_algebra(4, [(1, 3), (2, 3)])
-        image = permute_subalgebra(nc1, transposition(4, 2, 3))
+        image = permute_subalgebra(nc1, perm_from_partial(4, {2: 3, 3: 2}))
         assert image == nil_algebra(4, [(1, 2), (2, 3)])
 
     def test_identity(self):
@@ -64,16 +72,16 @@ class TestPermuteSubalgebra:
 
     def test_unit_pair_to_row_pair(self):
         n12 = nil_algebra(4, [(1, 2), (2, 3)])
-        image = permute_subalgebra(n12, transposition(4, 1, 2))
+        image = permute_subalgebra(n12, perm_from_partial(4, {1: 2, 2: 1}))
         assert image == nil_algebra(4, [(1, 2), (1, 3)])
 
     def test_none_when_leaving_upper_triangle(self):
         algebra = RegularSubalgebra(3, full_nil_set(3), ())
-        assert permute_subalgebra(algebra, transposition(3, 1, 2)) is None
+        assert permute_subalgebra(algebra, perm_from_partial(3, {1: 2, 2: 1})) is None
 
     def test_cartan_entries_relabelled(self):
         algebra = RegularSubalgebra(4, frozenset(), (h_vector(4, 2),))
-        image = permute_subalgebra(algebra, transposition(4, 2, 4))
+        image = permute_subalgebra(algebra, perm_from_partial(4, {2: 4, 4: 2}))
         assert image.cartan_gens == ((0, 0, -1, 1),)
 
     def test_rejects_non_bijection(self):
@@ -82,40 +90,41 @@ class TestPermuteSubalgebra:
 
 
 class TestPermConjugate:
+    """The witness decide reports: the lexicographically first permutation
+    carrying a onto b, or None."""
+
     def test_finds_first_witness(self):
         nc1 = nil_algebra(4, [(1, 3), (2, 3)])
         n12 = nil_algebra(4, [(1, 2), (2, 3)])
-        assert perm_conjugate(nc1, n12) == (1, 3, 2, 4)
+        assert decide(nc1, n12).witness == (1, 3, 2, 4)
 
     def test_self_gives_identity(self):
         algebra = nil_algebra(4, [(1, 2), (2, 3)])
-        assert perm_conjugate(algebra, algebra) == identity_perm(4)
+        assert decide(algebra, algebra).witness == identity_perm(4)
 
     def test_absent_for_separated_unit_pairs(self):
         a = nil_algebra(5, [(1, 2), (3, 4)])
         b = nil_algebra(5, [(2, 3), (4, 5)])
-        assert perm_conjugate(a, b) is None
+        assert decide(a, b).witness is None
 
     def test_spans_compared_not_generator_lists(self):
         a = RegularSubalgebra(3, {(1, 3)}, (h_vector(3, 1), h_vector(3, 2)))
         b = RegularSubalgebra(3, {(1, 3)}, ((1, 0, -1), (0, 1, -1)))
-        assert perm_conjugate(a, b) == identity_perm(3)
+        assert decide(a, b).witness == identity_perm(3)
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            perm_conjugate(RegularSubalgebra(3), RegularSubalgebra(4))
+            decide(RegularSubalgebra(3), RegularSubalgebra(4))
 
     def test_signatures_compared_above_search_guard(self):
         a = RegularSubalgebra(9, {(1, 2)})
-        assert perm_conjugate(a, RegularSubalgebra(9, {(1, 2), (1, 3), (2, 3)})) is None
+        assert decide(a, RegularSubalgebra(9, {(1, 2), (1, 3), (2, 3)})).witness is None
         with pytest.raises(ValueError, match="guarded"):
-            perm_conjugate(a, RegularSubalgebra(9, {(2, 3)}))
+            decide(a, RegularSubalgebra(9, {(2, 3)}))
 
     def test_requires_closed(self):
         with pytest.raises(NotClosedError):
-            perm_conjugate(
-                RegularSubalgebra(3, {(1, 2), (2, 3)}, ()), RegularSubalgebra(3)
-            )
+            decide(RegularSubalgebra(3, {(1, 2), (2, 3)}, ()), RegularSubalgebra(3))
 
 
 class TestDecide:
@@ -163,6 +172,23 @@ class TestDecide:
         assert signature(a) == signature(b)
         verdict = decide(a, b)
         assert verdict.kind == "distinct" and verdict.separator == NO_WITNESS
+
+    def test_closure_checked_once_per_signature(self, monkeypatch):
+        calls = []
+
+        def counting(algebra, is_closed=core.is_closed):
+            calls.append(algebra)
+            return is_closed(algebra)
+
+        monkeypatch.setattr(core, "is_closed", counting)
+        a, b = nil_algebra(4, [(1, 3), (2, 3)]), nil_algebra(4, [(1, 2), (2, 3)])
+        signature.cache_clear()
+        signature(a)
+        assert calls == [a]
+        signature.cache_clear()
+        calls.clear()
+        assert decide(a, b).is_conjugate
+        assert calls == [a, b]
 
     def test_self_conjugate(self):
         algebra = nil_algebra(4, [(1, 2)])
@@ -282,3 +308,28 @@ class TestRecipeWitness:
             recipe_witness(FamilyLabel("A1", (1, 2, 3, 4), 5), FamilyLabel("B1", (1, 2, 4), 5))
         with pytest.raises(RecipeError):
             recipe_witness(FamilyLabel("D", (1,), 5, k=2), FamilyLabel("R", (1,), 5, k=2))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_ordered_pair(self, n):
+        # the paper's transposition products conjugate the members of one
+        # dim2 family, the triple N_{i,i+1}, N_R_i, N_C_i, and R_i, C_i at
+        # one k; every other label is covered only by itself
+        def group(label):
+            kind, idx = label.kind, label.indices
+            if kind in DIM2_KINDS:
+                return kind
+            if kind in ("NR", "NC") or (kind == "N" and idx[1] == idx[0] + 1):
+                return ("triple", idx[0])
+            if kind in ("R", "C"):
+                return ("segment", idx[0], label.k)
+            return label
+
+        members = enum_dim2(n) + enum_codim2(n)
+        members += [m for k in range(1, n) for m in enum_drc(n, k)]
+        for la, aa in members:
+            for lb, ab in members:
+                if group(la) == group(lb):
+                    assert maps_onto(aa, recipe_witness(la, lb), ab), (la.text(), lb.text())
+                else:
+                    with pytest.raises(RecipeError, match="no recipe covers the pair"):
+                        recipe_witness(la, lb)

@@ -18,12 +18,14 @@ from regalg.starcalc import (
     adjoint_image_pattern,
     bool_mul,
     col_action,
+    commutator_pattern,
     derived_series_dims,
     diag_eigen_multiset,
     generic_max_rank,
     min_rank,
     row_action,
 )
+from regalg.invariants import signature
 
 import bruteforce
 from bruteforce import indices, pattern, positions
@@ -136,17 +138,17 @@ class TestActions:
 class TestDerivedSeries:
     def test_full_solvable(self):
         algebra = RegularSubalgebra(4, full_nil_set(4), full_cartan(4))
-        assert derived_series_dims(algebra) == [9, 6, 3, 0]
+        assert [algebra.dim, *derived_series_dims(commutator_pattern(algebra))] == [9, 6, 3, 0]
 
     def test_abelian_single_star(self):
-        assert derived_series_dims(RegularSubalgebra(3, {(1, 3)}, ())) == [1, 0]
+        assert derived_series_dims(RegularSubalgebra(3, {(1, 3)}, ()).nil_rows) == [1, 0]
 
     def test_full_nilpotent(self):
-        assert derived_series_dims(RegularSubalgebra(4, full_nil_set(4), ())) == [6, 3, 0]
+        assert derived_series_dims(RegularSubalgebra(4, full_nil_set(4), ()).nil_rows) == [6, 3, 0]
 
     def test_not_closed_error(self):
         with pytest.raises(NotClosedError) as info:
-            derived_series_dims(RegularSubalgebra(3, {(1, 2), (2, 3)}, ()))
+            signature(RegularSubalgebra(3, {(1, 2), (2, 3)}, ()))
         assert info.value.defects == [(1, 3)]
 
     def test_matches_span_bracket_oracle_nilpotent(self):
@@ -155,7 +157,7 @@ class TestDerivedSeries:
         for n in (2, 3, 4):
             for algebra in enum_all_nilpotent_oracle(n):
                 dims, _ = bruteforce.span_derived_series(algebra)
-                assert derived_series_dims(algebra) == dims, algebra.descriptor()
+                assert derived_series_dims(algebra.nil_rows) == dims, algebra.descriptor()
 
     def test_matches_span_bracket_oracle_solvable(self):
         from regalg.families import enum_codim1, enum_codim2
@@ -165,33 +167,34 @@ class TestDerivedSeries:
         cases.append(RegularSubalgebra(4, {(1, 4)}, (h_pq_vector(4, 2, 3),)))
         for algebra in cases:
             dims, _ = bruteforce.span_derived_series(algebra)
-            assert derived_series_dims(algebra) == dims, algebra.descriptor()
+            series = [algebra.dim, *derived_series_dims(commutator_pattern(algebra))]
+            assert series == dims, algebra.descriptor()
 
 
 class TestActionDimSeq:
     def test_full_nilpotent_column(self):
         algebra = RegularSubalgebra(4, full_nil_set(4), ())
-        assert action_dim_seq(algebra, "column") == [3, 2, 1, 0]
+        assert action_dim_seq(algebra.nil_rows, "column") == [3, 2, 1, 0]
 
     def test_abelian(self):
         algebra = RegularSubalgebra(4, {(2, 3)}, ())
-        assert action_dim_seq(algebra, "column") == [1, 0]
-        assert action_dim_seq(algebra, "row") == [1, 0]
+        assert action_dim_seq(algebra.nil_rows, "column") == [1, 0]
+        assert action_dim_seq(algebra.nil_rows, "row") == [1, 0]
 
     def test_missing_last_offdiagonal_column(self):
         algebra = RegularSubalgebra(4, full_nil_set(4) - {(3, 4)}, ())
-        assert action_dim_seq(algebra, "column") == [2, 1, 0]
+        assert action_dim_seq(algebra.nil_rows, "column") == [2, 1, 0]
 
     def test_side_validation(self):
         with pytest.raises(ValueError):
-            action_dim_seq(RegularSubalgebra(3), "sideways")
+            action_dim_seq(RegularSubalgebra(3).nil_rows, "sideways")
 
     def test_matches_exact_power_supports(self):
         from regalg.families import enum_all_nilpotent_oracle
 
         for algebra in enum_all_nilpotent_oracle(4):
             for side in ("column", "row"):
-                assert action_dim_seq(algebra, side) == bruteforce.span_power_action_dims(
+                assert action_dim_seq(algebra.nil_rows, side) == bruteforce.span_power_action_dims(
                     algebra, side
                 ), (algebra.descriptor(), side)
 
