@@ -3,7 +3,6 @@ subalgebras of sl(n) - brackets, closure, star-pattern calculus,
 conjugacy invariants, permutation witnesses, and family enumeration."""
 
 from .core import (
-    BracketResult,
     DescriptorError,
     Diag,
     DimensionMismatchError,
@@ -34,7 +33,6 @@ from .families import FamilyLabel, enum_codim1, enum_codim2, enum_dim2, make_drc
 from .invariants import InvariantSignature, separate, signature
 
 __all__ = [
-    "BracketResult",
     "ClassPartition",
     "ConjugacyVerdict",
     "DescriptorError",

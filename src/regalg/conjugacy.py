@@ -303,46 +303,39 @@ def classify_family(members) -> ClassPartition:
     """Group members into conjugacy classes by witness search, merging only
     on verified witnesses, and name one separator per pair of classes.
 
-    Witness existence is an equivalence, so one failed scan against a
-    component representative rules out the whole component.  A class never
-    spans two signature groups, so the separator of two classes is that of
-    their representatives: the first differing signature field, or
-    NO_WITNESS for two classes of one group.
+    One pass over the members: each is scanned, in index order, against
+    the representatives of its signature group and joins the class of the
+    first that admits a witness, or else represents a new class.  Witness
+    existence is an equivalence, so one failed scan against a class
+    representative rules out the whole class.  A class never spans two
+    signature groups, so the separator of two classes is that of their
+    representatives: the first differing signature field, or NO_WITNESS
+    for two classes of one group.
     """
     members = tuple(members)
     if not members:
         return ClassPartition((), (), (), ())
     n = members[0].n
     sigs = []
-    for m in members:
+    reps: dict[InvariantSignature, list[int]] = {}  # class representatives per signature
+    by_rep: dict[int, list[int]] = {}  # representative -> its class, in index order
+    to_rep: dict[int, Perm] = {}  # witness: member -> its class representative
+    for idx, m in enumerate(members):
         if m.n != n:
             raise DimensionMismatchError("members mix different n")
         sigs.append(signature(m))
-
-    groups: dict[InvariantSignature, list[int]] = {}
-    for idx, sig in enumerate(sigs):
-        groups.setdefault(sig, []).append(idx)
-
-    components: list[list[int]] = []
-    to_rep: dict[int, Perm] = {}  # witness: member -> its component representative
-    for group in groups.values():
-        group_comps: list[int] = []  # indices into components
-        for idx in group:
-            placed = False
-            for comp_id in group_comps:
-                rep = components[comp_id][0]
-                sigma = _witness_scan(members[idx], members[rep])
-                if sigma is not None:
-                    components[comp_id].append(idx)
-                    to_rep[idx] = sigma
-                    placed = True
-                    break
-            if not placed:
-                group_comps.append(len(components))
-                components.append([idx])
-                to_rep[idx] = identity_perm(n)
-
-    classes = tuple(tuple(sorted(comp)) for comp in sorted(components, key=min))
+        group = reps.setdefault(sigs[-1], [])
+        for rep in group:
+            sigma = _witness_scan(m, members[rep])
+            if sigma is not None:
+                by_rep[rep].append(idx)
+                to_rep[idx] = sigma
+                break
+        else:
+            group.append(idx)
+            by_rep[idx] = [idx]
+            to_rep[idx] = identity_perm(n)
+    classes = tuple(map(tuple, by_rep.values()))
 
     edges = []
     for cls in classes:

@@ -67,27 +67,6 @@ class Diag:
 BasisElement = Nil | Diag
 
 
-@dataclass(frozen=True)
-class BracketResult:
-    """Exact bracket value as a sum of coefficient * basis element terms.
-
-    Coefficients are nonzero and the elements of distinct terms differ;
-    the empty term list is the zero value.
-    """
-
-    terms: tuple[tuple[int, BasisElement], ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __neg__(self) -> "BracketResult":
-        return BracketResult(tuple((-c, e) for c, e in self.terms))
-
-    def as_dict(self) -> dict[BasisElement, int]:
-        return {e: c for c, e in self.terms}
-
-
 def h_vector(n: int, k: int) -> tuple[int, ...]:
     """The diagonal generator e_k - e_{k+1}."""
     if not 1 <= k <= n - 1:
@@ -108,8 +87,9 @@ def h_pq_vector(n: int, p: int, q: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def bracket(a: BasisElement, b: BasisElement) -> BracketResult:
-    """Exact commutator [a, b] expanded over the standard basis.
+def bracket(a: BasisElement, b: BasisElement) -> dict[BasisElement, int]:
+    """Exact commutator [a, b] expanded over the standard basis, as
+    {basis element: nonzero coefficient}; the empty dict is zero.
 
     For two matrix units the product rule gives delta_{jk} E_il - delta_{li} E_kj;
     a diagonal d acts on E_ij as the scalar d_i - d_j; diagonals commute.
@@ -117,18 +97,18 @@ def bracket(a: BasisElement, b: BasisElement) -> BracketResult:
     if a.n != b.n:
         raise DimensionMismatchError(f"operands have n={a.n} and n={b.n}")
     if isinstance(a, Nil) and isinstance(b, Nil):
-        terms = []
+        out = {}
         if a.col == b.row:
-            terms.append((1, Nil(a.n, a.row, b.col)))
+            out[Nil(a.n, a.row, b.col)] = 1
         if b.col == a.row:
-            terms.append((-1, Nil(a.n, b.row, a.col)))
-        return BracketResult(tuple(terms))
+            out[Nil(a.n, b.row, a.col)] = -1
+        return out
     if isinstance(a, Diag) and isinstance(b, Nil):
         c = a.entries[b.row - 1] - a.entries[b.col - 1]
-        return BracketResult(((c, b),) if c else ())
+        return {b: c} if c else {}
     if isinstance(a, Nil) and isinstance(b, Diag):
-        return -bracket(b, a)
-    return BracketResult(())
+        return {e: -c for e, c in bracket(b, a).items()}
+    return {}
 
 
 @dataclass(frozen=True)
@@ -182,9 +162,6 @@ class RegularSubalgebra:
     @property
     def nil_dim(self) -> int:
         return len(self.nil_set)
-
-    def nil_part(self) -> "RegularSubalgebra":
-        return RegularSubalgebra(self.n, self.nil_set, ())
 
     def sorted_nil(self) -> list[tuple[int, int]]:
         return sorted(self.nil_set)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
-    BracketResult,
     Diag,
     Nil,
     RegularSubalgebra,
@@ -222,10 +221,6 @@ def enum_dim2(n: int) -> list[Member]:
     return out
 
 
-def _bracket_in_pair_span(result: BracketResult, a, b) -> bool:
-    return all(element in (a, b) for _, element in result.terms)
-
-
 def enum_all_dim2_oracle(n: int) -> list[RegularSubalgebra]:
     """Unlabelled ground truth for the two-element spans: closure is decided
     by expanding the bracket of the two generators and checking every term
@@ -236,7 +231,7 @@ def enum_all_dim2_oracle(n: int) -> list[RegularSubalgebra]:
         raise ValueError(f"n must be at least 2, got {n}")
     out = []
     for a, b in combinations(_standard_basis(n), 2):
-        if _bracket_in_pair_span(bracket(a, b), a, b):
+        if set(bracket(a, b)) <= {a, b}:
             out.append(_pair_algebra(n, a, b))
     return out
 

@@ -7,7 +7,7 @@ explicit permutation witnesses (as conjugators).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 
 from .core import RegularSubalgebra, require_closed
@@ -22,18 +22,20 @@ from .starcalc import (
     row_action,
 )
 
-# Comparison order for separate(); names double as JSON keys.
-FIELD_ORDER = (
-    ("dim", "dim"),
-    ("nil_dim", "nilDim"),
-    ("derived_dims", "derivedDims"),
-    ("col_action_seq", "colActionSeq"),
-    ("row_action_seq", "rowActionSeq"),
-    ("max_rank", "maxRank"),
-    ("min_rank", "minRank"),
-    ("cartan_signature", "cartanSignature"),
-    ("last_row_cartan_flag", "lastRowCartanFlag"),
-)
+
+def _camel(attr: str) -> str:
+    head, *rest = attr.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+def _to_json(value):
+    """JSON form of a record: its fields in declared order under camelCase
+    names, tuples as lists."""
+    if is_dataclass(value):
+        return {_camel(f.name): _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True, order=True)
@@ -46,13 +48,7 @@ class CartanRecord:
     adj_row_dim: int
     adj_max_rank: int
 
-    def to_json(self):
-        return {
-            "eigenMultiset": list(self.eigen_multiset),
-            "adjColDim": self.adj_col_dim,
-            "adjRowDim": self.adj_row_dim,
-            "adjMaxRank": self.adj_max_rank,
-        }
+    to_json = _to_json
 
 
 @dataclass(frozen=True)
@@ -67,17 +63,11 @@ class InvariantSignature:
     cartan_signature: tuple[CartanRecord, ...]
     last_row_cartan_flag: bool
 
-    def to_json(self):
-        out = {}
-        for attr, name in FIELD_ORDER:
-            value = getattr(self, attr)
-            if attr == "cartan_signature":
-                out[name] = [rec.to_json() for rec in value]
-            elif isinstance(value, tuple):
-                out[name] = list(value)
-            else:
-                out[name] = value
-        return out
+    to_json = _to_json
+
+
+# Comparison order for separate(): (attribute, JSON key) per field.
+FIELD_ORDER = tuple((f.name, _camel(f.name)) for f in fields(InvariantSignature))
 
 
 def root_vectors_in_span(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], ...]:

@@ -69,10 +69,13 @@ class TestEnumerate:
         assert header == ["label", "indices", "descriptor", "dim", "nilDim"]
 
 
+FULL_N4 = "n=4; nil=(1,2),(1,3),(1,4),(2,3),(2,4),(3,4); cartan=H1,H2,H3"
+DIAG_N4 = "n=4; nil=; cartan=diag(1,1,-2,0),diag(0,0,1,-1)"  # Cartan-only
+
+
 class TestInvariants:
     def test_full_solvable(self, capsys):
-        desc = "n=4; nil=(1,2),(1,3),(1,4),(2,3),(2,4),(3,4); cartan=H1,H2,H3"
-        code, report, _ = run_json(capsys, "invariants", desc)
+        code, report, _ = run_json(capsys, "invariants", FULL_N4)
         assert code == 0
         assert report["signature"]["derivedDims"] == [6, 3, 0]
         assert report["signature"]["dim"] == 9
@@ -100,6 +103,20 @@ class TestInvariants:
             "0 0 0 *",
             "0 0 0 0",
         ]
+
+
+    @pytest.mark.parametrize("desc, fmt, digest", [
+        (FULL_N4, "json", "a2892a68ae646c63058d7a2e4b9de9a25545f6db2e307acd297f0c2e627dbbe5"),
+        (FULL_N4, "table", "060a6654775fee371402591b6b840827e234ff8ad7b77071dc48ee3fcc169aa0"),
+        (FULL_N4, "csv", "b3bd4d48cbdc02bccfd78fba259b5a17c0b479ec6009f3cc254e0e4a339075b8"),
+        (DIAG_N4, "json", "d7ba14497972defbbd583b705335544e7735fece70acefa9bdc3d9ea67aa3b9d"),
+        (DIAG_N4, "table", "b2c860a89ffc2635023654aa80a7b73af81782b6e2614125d15653133d16bd32"),
+        (DIAG_N4, "csv", "5fc8d42e8b738ae48bf5bf6f5852593f84d1ea9c143ac71d00ec80827b89d4fe"),
+    ])
+    def test_report_bytes(self, capsys, desc, fmt, digest):
+        # a change to these bytes is a change to the report: record it
+        _, out, _ = run(capsys, "invariants", desc, "--format", fmt)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDecide:

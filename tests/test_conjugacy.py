@@ -148,7 +148,9 @@ class TestDecide:
 
     def test_unit_pair_separation_by_column_action(self):
         members = {lab.text(): alg for lab, alg in enum_codim2(5)}
-        verdict = decide(members["N_{1,2}"].nil_part(), members["N_{3,4}"].nil_part())
+        a = RegularSubalgebra(5, members["N_{1,2}"].nil_set)
+        b = RegularSubalgebra(5, members["N_{3,4}"].nil_set)
+        verdict = decide(a, b)
         assert verdict.kind == "distinct" and verdict.separator == "colActionSeq"
 
     def test_relabeled_diagonal_span_conjugate(self):
@@ -219,7 +221,7 @@ class TestClassifyFamily:
             (lab, alg) for lab, alg in enum_codim2(5) if lab.kind in ("N", "NR", "NC")
         ]
         labels = [lab for lab, _ in members]
-        part = classify_family([alg.nil_part() for _, alg in members])
+        part = classify_family([RegularSubalgebra(5, alg.nil_set) for _, alg in members])
         classes = sorted(
             sorted(labels[i].text() for i in cls)
             for cls in part.classes

@@ -15,7 +15,6 @@ from regalg.core import (
 from regalg.conjugacy import permute_subalgebra
 from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
 from regalg.invariants import (
-    FIELD_ORDER,
     root_vectors_in_span,
     separate,
     signature,
@@ -90,8 +89,8 @@ class TestSeparate:
 
     def test_codim2_consecutive_unit_pairs(self):
         members = {lab.text(): alg for lab, alg in enum_codim2(5)}
-        a = signature(members["N_{1,2}"].nil_part())
-        b = signature(members["N_{2,3}"].nil_part())
+        a = signature(RegularSubalgebra(5, members["N_{1,2}"].nil_set))
+        b = signature(RegularSubalgebra(5, members["N_{2,3}"].nil_set))
         # the first divergence is already in the series dimensions; the
         # column-action sequences differ as well
         assert separate(a, b) == "derivedDims"
@@ -132,7 +131,14 @@ class TestSerialization:
     def test_json_field_names(self):
         sig = signature(RegularSubalgebra(4, full_nil_set(4), full_cartan(4)))
         payload = sig.to_json()
-        assert list(payload) == [name for _, name in FIELD_ORDER]
+        # literal keys: renaming an attribute must not silently rename a key
+        assert list(payload) == [
+            "dim", "nilDim", "derivedDims", "colActionSeq", "rowActionSeq",
+            "maxRank", "minRank", "cartanSignature", "lastRowCartanFlag",
+        ]
+        assert payload["cartanSignature"]
+        for record in payload["cartanSignature"]:
+            assert list(record) == ["eigenMultiset", "adjColDim", "adjRowDim", "adjMaxRank"]
         encoded = json.dumps(payload, sort_keys=True)
         assert json.loads(encoded) == payload
 
