@@ -3,8 +3,9 @@ family classification, and `verify`, which validates its arguments and
 renders the `Check` records of the `regalg.verify` suites.
 
 JSON output is the machine contract and is byte-deterministic: every
-kernel behind it is exact.  The table format is human-facing, CSV
-flattens list values with ';' separators.
+kernel behind it is exact.  The table format is human-facing.  CSV and
+table cells flatten list values with ';' separators and write each record
+in braces, its keys in JSON order, e.g. {adjColDim=2;adjRowDim=3;adjMaxRank=2}.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _flatten(value):
     if isinstance(value, (list, tuple)):
         return ";".join(_flatten(v) for v in value)
     if isinstance(value, dict):
-        return ";".join(f"{k}={_flatten(v)}" for k, v in sorted(value.items()))
+        return "{" + ";".join(f"{k}={_flatten(v)}" for k, v in value.items()) + "}"
     return str(value)
 
 

@@ -104,18 +104,10 @@ def permute_subalgebra(algebra: RegularSubalgebra, sigma) -> RegularSubalgebra |
     return RegularSubalgebra(algebra.n, nil, gens)
 
 
-def same_algebra(a: RegularSubalgebra, b: RegularSubalgebra) -> bool:
-    """Equality as subalgebras: identical nil sets and equal diagonal spans
-    (compared through the canonical null-space basis, not the stored
-    generator lists)."""
-    return a.n == b.n and a.nil_set == b.nil_set and a.cartan_null == b.cartan_null
-
-
 def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
     """The relabeling sigma carries a onto b.  Every witness is re-verified
     through this check before it is reported."""
-    image = permute_subalgebra(a, sigma)
-    return image is not None and same_algebra(image, b)
+    return permute_subalgebra(a, sigma) == b
 
 
 def _column_relations(null, n: int) -> list[tuple[int, tuple[tuple[int, int], ...]] | None]:

@@ -122,15 +122,18 @@ class RegularSubalgebra:
     Construction also derives, once, the two forms every layer reads:
     nil_rows, where bit j-1 of row i-1 is set iff (i,j) is a nil position,
     and cartan_null, the canonical basis (linalg.annihilator) of the null
-    space of the diagonal span, which determines the span.  Neither takes
-    part in equality, hashing or repr.
+    space of the diagonal span, which determines the span.
+
+    Equality and hashing are those of subalgebras: n, the nil set and
+    cartan_null.  The generator list is only the presentation that
+    descriptor() prints, so two bases of one span are equal.
     """
 
     n: int
     nil_set: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    cartan_gens: tuple[tuple[int, ...], ...] = ()
+    cartan_gens: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
     nil_rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    cartan_null: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    cartan_null: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nil_set", frozenset(self.nil_set))
@@ -162,9 +165,6 @@ class RegularSubalgebra:
     @property
     def nil_dim(self) -> int:
         return len(self.nil_set)
-
-    def sorted_nil(self) -> list[tuple[int, int]]:
-        return sorted(self.nil_set)
 
     def descriptor(self) -> str:
         return format_descriptor(self)
@@ -258,136 +258,101 @@ def dimension_bound(algebra: RegularSubalgebra, missing: tuple[int, int]) -> int
 # explicit traceless integer vector.
 
 _NIL_PAIR = re.compile(r"\((\d+),(\d+)\)")
-_H_SIMPLE = re.compile(r"H(\d+)$")
-_H_PAIR = re.compile(r"H\[(\d+),(\d+)\]$")
-_DIAG = re.compile(r"diag\(((?:-?\d+,)*-?\d+)\)$")
-
-
-def _condense(text: str) -> tuple[str, list[int]]:
-    """Strip whitespace, keeping a map back to original positions."""
-    out = []
-    positions = []
-    for idx, ch in enumerate(text):
-        if not ch.isspace():
-            out.append(ch)
-            positions.append(idx)
-    return "".join(out), positions
+_CARTAN_TOKEN = re.compile(r"H(\d+)|H\[(\d+),(\d+)\]|diag\(((?:-?\d+,)*-?\d+)\)")
 
 
 def parse_descriptor(text: str, max_n: int | None = None) -> RegularSubalgebra:
     """Parse the subalgebra text format accepted by every CLI command.
 
-    An n above max_n is rejected before any length-n vector is built."""
-    condensed, posmap = _condense(text)
+    Segments are read in one pass over the whitespace-free text; an error
+    reports its offset in the original text.  An n above max_n is rejected
+    before any length-n vector is built."""
+    posmap = [idx for idx, ch in enumerate(text) if not ch.isspace()]
+    condensed = "".join(text[idx] for idx in posmap)
 
     def err(message: str, start: int, token: str) -> DescriptorError:
-        original_pos = posmap[start] if start < len(posmap) else len(text)
-        return DescriptorError(message, token, original_pos)
-
-    segments = []
-    start = 0
-    for part in condensed.split(";"):
-        segments.append((part, start))
-        start += len(part) + 1
-    segments = [(p, s) for p, s in segments if p]
+        return DescriptorError(message, token, posmap[start] if start < len(posmap) else len(text))
 
     n = None
     nil_pairs: set[tuple[int, int]] = set()
-    cartan: list[tuple] = []
+    cartan = []  # (k, p, q, diag) groups of each Cartan token, read once n is known
     seen = set()
-    for part, seg_start in segments:
+    seg_start = 0
+    for part in condensed.split(";"):
+        start, seg_start = seg_start, seg_start + len(part) + 1
+        if not part:
+            continue
         if "=" not in part:
-            raise err("expected key=value segment", seg_start, part)
+            raise err("expected key=value segment", start, part)
         key, _, value = part.partition("=")
         if key in seen:
-            raise err("duplicate segment", seg_start, key)
+            raise err("duplicate segment", start, key)
         seen.add(key)
+        at = start + len(key) + 1  # offset of the value
         if key == "n":
             if not value.isdecimal():
-                raise err("n must be a positive integer", seg_start + 2, value)
+                raise err("n must be a positive integer", at, value)
             n = int(value)
             if max_n is not None and n > max_n:
-                raise err(f"n must be at most {max_n}", seg_start + 2, value)
-        elif key == "nil":
-            if not value:
-                continue
-            cursor = seg_start + len("nil=")
-            rest = value
+                raise err(f"n must be at most {max_n}", at, value)
+        elif key == "nil" and value:
+            pos = 0
             while True:
-                m = _NIL_PAIR.match(rest)
+                m = _NIL_PAIR.match(value, pos)
                 if not m:
-                    raise err("expected (i,j) pair", cursor, rest)
-                pair = (int(m.group(1)), int(m.group(2)))
+                    raise err("expected (i,j) pair", at + pos, value[pos:])
+                pair = (int(m[1]), int(m[2]))
                 if pair in nil_pairs:
-                    raise err("duplicate nil pair", cursor, m.group(0))
+                    raise err("duplicate nil pair", at + pos, m[0])
                 nil_pairs.add(pair)
-                rest = rest[m.end():]
-                cursor += m.end()
-                if not rest:
+                pos = m.end()
+                if pos == len(value):
                     break
-                if not rest.startswith(","):
-                    raise err("expected ',' between pairs", cursor, rest)
-                rest = rest[1:]
-                cursor += 1
-        elif key == "cartan":
-            if not value:
-                continue
-            cursor = seg_start + len("cartan=")
-            # split on commas not inside brackets/parens
-            tokens = []
+                if value[pos] != ",":
+                    raise err("expected ',' between pairs", at + pos, value[pos:])
+                pos += 1
+        elif key == "cartan" and value:
+            # tokens end at commas outside brackets and parentheses
             depth = 0
-            tok_start = 0
+            cuts = [-1]
             for idx, ch in enumerate(value):
                 if ch in "[(":
                     depth += 1
                 elif ch in "])":
                     depth -= 1
                 elif ch == "," and depth == 0:
-                    tokens.append((value[tok_start:idx], cursor + tok_start))
-                    tok_start = idx + 1
-            tokens.append((value[tok_start:], cursor + tok_start))
-            for tok, tok_pos in tokens:
-                cartan.append(_parse_cartan_token(tok, tok_pos, err))
-        else:
-            raise err("unknown segment", seg_start, key)
+                    cuts.append(idx)
+            cuts.append(len(value))
+            for lo, hi in zip(cuts, cuts[1:]):
+                m = _CARTAN_TOKEN.fullmatch(value, lo + 1, hi)
+                if not m:
+                    raise err("expected Hk, H[p,q] or diag(...)", at + lo + 1, value[lo + 1:hi])
+                cartan.append(m.groups())
+        elif key not in ("nil", "cartan"):
+            raise err("unknown segment", start, key)
 
     if n is None:
         raise DescriptorError("missing n= segment", text.strip(), 0)
     try:
         gens = []
-        for tag, payload in cartan:
-            if tag == "H":
-                gens.append(h_vector(n, payload))
-            elif tag == "Hpq":
-                gens.append(h_pq_vector(n, *payload))
+        for k, p, q, diag in cartan:
+            if k:
+                gens.append(h_vector(n, int(k)))
+            elif p:
+                gens.append(h_pq_vector(n, int(p), int(q)))
             else:
-                gens.append(payload)
+                gens.append(tuple(int(x) for x in diag.split(",")))
         return RegularSubalgebra(n, frozenset(nil_pairs), tuple(gens))
     except ValueError as exc:
         raise DescriptorError(str(exc), text.strip(), 0) from exc
 
 
-def _parse_cartan_token(tok, tok_pos, err):
-    m = _H_SIMPLE.match(tok)
-    if m:
-        return ("H", int(m.group(1)))
-    m = _H_PAIR.match(tok)
-    if m:
-        return ("Hpq", (int(m.group(1)), int(m.group(2))))
-    m = _DIAG.match(tok)
-    if m:
-        return ("diag", tuple(int(x) for x in m.group(1).split(",")))
-    raise err("expected Hk, H[p,q] or diag(...)", tok_pos, tok)
-
-
 def format_descriptor(algebra: RegularSubalgebra) -> str:
     """Canonical text form: nil positions sorted, generators rendered as
     Hk / H[p,q] when they have that shape and diag(...) otherwise."""
-    nil = ",".join(f"({i},{j})" for i, j in algebra.sorted_nil())
-    gens = []
-    for v in algebra.cartan_gens:
-        gens.append(_format_cartan_vector(algebra.n, v))
-    return f"n={algebra.n}; nil={nil}; cartan={','.join(gens)}"
+    nil = ",".join(f"({i},{j})" for i, j in sorted(algebra.nil_set))
+    gens = ",".join(_format_cartan_vector(algebra.n, v) for v in algebra.cartan_gens)
+    return f"n={algebra.n}; nil={nil}; cartan={gens}"
 
 
 def _format_cartan_vector(n: int, v: tuple[int, ...]) -> str:

@@ -16,7 +16,6 @@ from .starcalc import (
     adjoint_image_pattern,
     col_action,
     derived_series_dims,
-    diag_eigen_multiset,
     generic_max_rank,
     min_rank,
     row_action,
@@ -40,10 +39,9 @@ def _to_json(value):
 
 @dataclass(frozen=True, order=True)
 class CartanRecord:
-    """Per-generator invariants of the adjoint action on the nil part,
-    ordered field by field."""
+    """Invariants of the adjoint action of one root vector e_p - e_q of the
+    diagonal span on the nil part, ordered field by field."""
 
-    eigen_multiset: tuple[int, ...]
     adj_col_dim: int
     adj_row_dim: int
     adj_max_rank: int
@@ -97,7 +95,6 @@ def _cartan_record(h: tuple[int, ...], algebra: RegularSubalgebra) -> CartanReco
     pattern = adjoint_image_pattern(h, algebra)
     full = (1 << algebra.n) - 1
     return CartanRecord(
-        eigen_multiset=diag_eigen_multiset(h),
         adj_col_dim=col_action(pattern, full).bit_count(),
         adj_row_dim=row_action(full, pattern).bit_count(),
         adj_max_rank=generic_max_rank(pattern),

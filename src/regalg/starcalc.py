@@ -198,11 +198,3 @@ def min_rank(algebra: RegularSubalgebra) -> int:
 
     return search([list(v) for v in algebra.cartan_gens], 0)
 
-
-def diag_eigen_multiset(h) -> tuple[int, ...]:
-    """Eigenvalue multiset of a traceless diagonal vector (sorted entries);
-    equivalently the root multiset of its characteristic polynomial."""
-    h = tuple(h)
-    if sum(h) != 0:
-        raise ValueError(f"diagonal vector {h} is not traceless")
-    return tuple(sorted(h))

@@ -1,6 +1,8 @@
 """CLI behavior: subcommands, formats, determinism, exit codes."""
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -104,14 +106,26 @@ class TestInvariants:
             "0 0 0 0",
         ]
 
+    def test_csv_cartan_signature_splits_into_records(self, capsys):
+        # records are written in braces, so ';' between them is unambiguous
+        _, report, _ = run_json(capsys, "invariants", FULL_N4)
+        _, out, _ = run(capsys, "invariants", FULL_N4, "--format", "csv")
+        cell = next(row[1] for row in csv.reader(io.StringIO(out)) if row[0] == "cartanSignature")
+        assert cell.startswith("{") and cell.endswith("}")
+        records = [
+            {key: int(value) for key, value in (item.split("=") for item in record.split(";"))}
+            for record in cell[1:-1].split("};{")
+        ]
+        assert records == report["signature"]["cartanSignature"]
+
 
     @pytest.mark.parametrize("desc, fmt, digest", [
-        (FULL_N4, "json", "a2892a68ae646c63058d7a2e4b9de9a25545f6db2e307acd297f0c2e627dbbe5"),
-        (FULL_N4, "table", "060a6654775fee371402591b6b840827e234ff8ad7b77071dc48ee3fcc169aa0"),
-        (FULL_N4, "csv", "b3bd4d48cbdc02bccfd78fba259b5a17c0b479ec6009f3cc254e0e4a339075b8"),
-        (DIAG_N4, "json", "d7ba14497972defbbd583b705335544e7735fece70acefa9bdc3d9ea67aa3b9d"),
-        (DIAG_N4, "table", "b2c860a89ffc2635023654aa80a7b73af81782b6e2614125d15653133d16bd32"),
-        (DIAG_N4, "csv", "5fc8d42e8b738ae48bf5bf6f5852593f84d1ea9c143ac71d00ec80827b89d4fe"),
+        (FULL_N4, "json", "7e1a835303549ff2d26c60efbbd10ba9932d27ce70ccaac361c54a7e628bd2bd"),
+        (FULL_N4, "table", "beb0d4f98867761bf2887e747e39801022f022b7989336ac9effc1d48113a86e"),
+        (FULL_N4, "csv", "8e9e8e5cf159cd5da073adb9142e43ba13779d076ded752b41a0b656ca61e2a4"),
+        (DIAG_N4, "json", "59e93ee8f4c0fbb86afa65c69d2b89f53c2b6c3cd8b9dc382d4a1cef0b11329f"),
+        (DIAG_N4, "table", "dd3f963a7ad8d95905ce73299a931d23e6f5fea0ca56e81230cf9b79a26eb79c"),
+        (DIAG_N4, "csv", "379b58022355ba147c857c45cabc91722bb51615a64e8dcba6277219e6e4d4eb"),
     ])
     def test_report_bytes(self, capsys, desc, fmt, digest):
         # a change to these bytes is a change to the report: record it

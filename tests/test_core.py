@@ -258,6 +258,92 @@ class TestDescriptor:
         assert info.value.token == "²" and info.value.position == 2
 
 
+class TestEquality:
+    def test_two_bases_of_one_span_are_equal(self):
+        # H1 + H2 = H[1,3]: one span, two presentations
+        a = RegularSubalgebra(4, {(1, 2)}, (h_vector(4, 1), h_vector(4, 2)))
+        b = RegularSubalgebra(4, {(1, 2)}, (h_pq_vector(4, 1, 3), h_vector(4, 2)))
+        assert a == b and hash(a) == hash(b)
+        assert a.descriptor() != b.descriptor()
+
+    def test_other_span_or_nil_set_differs(self):
+        a = RegularSubalgebra(4, {(1, 2)}, (h_vector(4, 1),))
+        assert a != RegularSubalgebra(4, {(1, 2)}, (h_vector(4, 2),))
+        assert a != RegularSubalgebra(4, {(1, 3)}, (h_vector(4, 1),))
+
+
+# One input per error message, with the message, token and position it gives.
+DESCRIPTOR_ERRORS = [
+    ("n=3; nil=(1,2); x", None, "expected key=value segment: 'x' at position 16", "x", 16),
+    ("n=3; n=4", None, "duplicate segment: 'n' at position 5", "n", 5),
+    ("n=x", None, "n must be a positive integer: 'x' at position 2", "x", 2),
+    ("n=21; nil=(1,2)", 20, "n must be at most 20: '21' at position 2", "21", 2),
+    ("n=3; nil=(1,2),(2", None, "expected (i,j) pair: '(2' at position 15", "(2", 15),
+    ("n=3; nil=(1,2),(1,2)", None, "duplicate nil pair: '(1,2)' at position 15", "(1,2)", 15),
+    ("n=3; nil=(1,2)(2,3)", None, "expected ',' between pairs: '(2,3)' at position 14", "(2,3)", 14),
+    ("n=3; cartan=H1,,H2", None, "expected Hk, H[p,q] or diag(...): '' at position 15", "", 15),
+    ("n = 3 ;  cartan = H1 , diag(1,-1", None,
+     "expected Hk, H[p,q] or diag(...): 'diag(1,-1' at position 23", "diag(1,-1", 23),
+    ("n=3; foo=1", None, "unknown segment: 'foo' at position 5", "foo", 5),
+    ("nil=(1,2)", None, "missing n= segment: 'nil=(1,2)' at position 0", "nil=(1,2)", 0),
+    ("n=3; cartan=H5", None,
+     "H index 5 out of range for n=3: 'n=3; cartan=H5' at position 0", "n=3; cartan=H5", 0),
+    ("n=3; cartan=H[3,1]", None,
+     "H[3,1] out of range for n=3: 'n=3; cartan=H[3,1]' at position 0", "n=3; cartan=H[3,1]", 0),
+    ("n=0", None, "n must be positive, got 0: 'n=0' at position 0", "n=0", 0),
+    ("n=3; nil=(2,1)", None,
+     "invalid nilpotent position (2,1) for n=3: 'n=3; nil=(2,1)' at position 0", "n=3; nil=(2,1)", 0),
+    ("n=3; cartan=diag(1,-1)", None,
+     "cartan generator (1, -1) has length 2, expected 3: 'n=3; cartan=diag(1,-1)' at position 0",
+     "n=3; cartan=diag(1,-1)", 0),
+    ("n=3; cartan=diag(1,1,1)", None,
+     "cartan generator (1, 1, 1) is not traceless: 'n=3; cartan=diag(1,1,1)' at position 0",
+     "n=3; cartan=diag(1,1,1)", 0),
+    ("n=3; cartan=H1,H[1,2]", None,
+     "cartan generators are linearly dependent: 'n=3; cartan=H1,H[1,2]' at position 0",
+     "n=3; cartan=H1,H[1,2]", 0),
+]
+
+
+@pytest.mark.parametrize("text, max_n, message, token, position", DESCRIPTOR_ERRORS,
+                         ids=[case[0] for case in DESCRIPTOR_ERRORS])
+def test_descriptor_error_is_pinned(text, max_n, message, token, position):
+    with pytest.raises(DescriptorError) as info:
+        parse_descriptor(text, max_n)
+    assert (str(info.value), info.value.token, info.value.position) == (message, token, position)
+
+
+SEED_DESCRIPTORS = [
+    "n=4; nil=(1,2),(1,3); cartan=H1,H[2,4]",
+    " n = 5 ; nil = (1,2) , (2,3),(1,3) ; cartan = diag( 1 , 1 , -2 , 0 , 0 ) , H4 ",
+    "cartan=H[1,3]; nil=(1,4); n=4;",
+]
+
+
+@st.composite
+def edited_descriptors(draw):
+    """A seed descriptor after one to four single-character inserts,
+    replacements or deletions."""
+    text = draw(st.sampled_from(SEED_DESCRIPTORS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from("n=;nil(),cartanHdiag[]-0123456789 x"))
+        op = draw(st.sampled_from(["insert", "replace", "delete"]))
+        text = text[:i] + ("" if op == "delete" else char) + text[i + (op != "insert"):]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_descriptors())
+def test_descriptor_error_locates_its_token(text):
+    """Once whitespace is removed, the text from an error's position on
+    starts with its token."""
+    try:
+        parse_descriptor(text, 20)
+    except DescriptorError as exc:
+        assert "".join(text[exc.position:].split()).startswith("".join(exc.token.split()))
+
+
 @st.composite
 def subalgebras(draw):
     n = draw(st.integers(min_value=2, max_value=6))
@@ -274,7 +360,8 @@ def subalgebras(draw):
 @settings(max_examples=150, deadline=None)
 @given(subalgebras())
 def test_descriptor_roundtrip(algebra):
-    assert parse_descriptor(format_descriptor(algebra)) == algebra
+    parsed = parse_descriptor(format_descriptor(algebra))
+    assert parsed == algebra and parsed.cartan_gens == algebra.cartan_gens
 
 
 @settings(max_examples=150, deadline=None)

@@ -138,15 +138,12 @@ class TestSerialization:
         ]
         assert payload["cartanSignature"]
         for record in payload["cartanSignature"]:
-            assert list(record) == ["eigenMultiset", "adjColDim", "adjRowDim", "adjMaxRank"]
+            assert list(record) == ["adjColDim", "adjRowDim", "adjMaxRank"]
         encoded = json.dumps(payload, sort_keys=True)
         assert json.loads(encoded) == payload
 
     def test_cartan_records_sorted(self):
         algebra = RegularSubalgebra(4, full_nil_set(4), full_cartan(4))
         records = signature(algebra).to_json()["cartanSignature"]
-        keys = [
-            (r["eigenMultiset"], r["adjColDim"], r["adjRowDim"], r["adjMaxRank"])
-            for r in records
-        ]
+        keys = [(r["adjColDim"], r["adjRowDim"], r["adjMaxRank"]) for r in records]
         assert keys == sorted(keys)

@@ -1,13 +1,16 @@
-"""The README's library layout table against the modules it describes."""
+"""The README's library layout table against the modules it describes,
+and its CLI examples against the CLI."""
 
 import dataclasses
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import regalg
+from regalg.cli import main
 from regalg.core import RegularSubalgebra
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,3 +41,23 @@ def test_table_names_exist(module_name):
     assert names
     missing = [name for name in names if not hasattr(module, name) and name not in fields]
     assert missing == []
+
+
+def cli_examples() -> list[list[str]]:
+    """The arguments of every `regalg` command line in the README's sh
+    blocks, with backslash continuations joined and comments dropped."""
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("regalg "):
+                examples.append(shlex.split(line, comments=True)[1:])
+    return examples
+
+
+def test_readme_has_cli_examples():
+    assert cli_examples()
+
+
+@pytest.mark.parametrize("argv", cli_examples(), ids=" ".join)
+def test_cli_example_exits_0(argv, tmp_path):
+    assert main([*argv, "--out", str(tmp_path / "report")]) == 0

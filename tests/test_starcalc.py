@@ -20,7 +20,6 @@ from regalg.starcalc import (
     col_action,
     commutator_pattern,
     derived_series_dims,
-    diag_eigen_multiset,
     generic_max_rank,
     min_rank,
     row_action,
@@ -274,18 +273,3 @@ class TestMinRank:
         with pytest.raises(ValueError):
             min_rank(RegularSubalgebra(3))
 
-
-class TestDiagEigenMultiset:
-    def test_h2(self):
-        assert diag_eigen_multiset(h_vector(4, 2)) == (-1, 0, 0, 1)
-
-    def test_h13(self):
-        assert diag_eigen_multiset(h_pq_vector(4, 1, 3)) == (-1, 0, 0, 1)
-
-    def test_combination(self):
-        v = tuple(2 * a + b for a, b in zip(h_vector(3, 1), h_vector(3, 2)))
-        assert diag_eigen_multiset(v) == (-1, -1, 2)
-
-    def test_rejects_non_traceless(self):
-        with pytest.raises(ValueError):
-            diag_eigen_multiset((1, 0, 0))
