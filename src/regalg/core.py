@@ -273,6 +273,12 @@ def parse_descriptor(text: str, max_n: int | None = None) -> RegularSubalgebra:
     def err(message: str, start: int, token: str) -> DescriptorError:
         return DescriptorError(message, token, posmap[start] if start < len(posmap) else len(text))
 
+    def number(digits: str, start: int, token: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            raise err("integer has too many digits", start, token) from None
+
     n = None
     nil_pairs: set[tuple[int, int]] = set()
     cartan = []  # (k, p, q, diag) groups of each Cartan token, read once n is known
@@ -292,7 +298,7 @@ def parse_descriptor(text: str, max_n: int | None = None) -> RegularSubalgebra:
         if key == "n":
             if not value.isdecimal():
                 raise err("n must be a positive integer", at, value)
-            n = int(value)
+            n = number(value, at, value)
             if max_n is not None and n > max_n:
                 raise err(f"n must be at most {max_n}", at, value)
         elif key == "nil" and value:
@@ -301,7 +307,7 @@ def parse_descriptor(text: str, max_n: int | None = None) -> RegularSubalgebra:
                 m = _NIL_PAIR.match(value, pos)
                 if not m:
                     raise err("expected (i,j) pair", at + pos, value[pos:])
-                pair = (int(m[1]), int(m[2]))
+                pair = (number(m[1], at + pos, m[0]), number(m[2], at + pos, m[0]))
                 if pair in nil_pairs:
                     raise err("duplicate nil pair", at + pos, m[0])
                 nil_pairs.add(pair)

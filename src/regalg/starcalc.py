@@ -13,6 +13,8 @@ i-1 for coordinate i.
 
 from __future__ import annotations
 
+from math import gcd
+
 from . import linalg
 from .core import DimensionMismatchError, RegularSubalgebra, _reach
 
@@ -168,13 +170,29 @@ def min_rank(algebra: RegularSubalgebra) -> int:
     for a hyperplane F the vector y orthogonal to the columns in F is unique
     up to scale, x = y.G is nonzero because G has independent rows, and its
     zero set is a flat of rank g - 1 containing F, so it is F.  Hence the
-    maximal zero sets are exactly the hyperplanes.  Each hyperplane is the
-    closure of g - 1 independent columns, so the search below, over
-    increasing independent column sets, reaches all of them: it keeps the
-    rows y.G for a basis of the y orthogonal to the chosen columns, and the
-    single row left after g - 1 columns spans that hyperplane's vector.  A
-    relabeling of coordinates permutes the columns and a change of span
-    basis keeps the matroid, so the value is invariant under both.
+    maximal zero sets are exactly the hyperplanes.  A relabeling of
+    coordinates permutes the columns and a change of span basis keeps the
+    matroid, so the value is invariant under both.
+
+    Search.  Each hyperplane is the closure of g - 1 independent columns,
+    so for g >= 2 it contains g - 2 of them.  The search goes over
+    increasing independent column sets S of size up to g - 2, keeping the
+    rows y.G for a basis of the y orthogonal to S: the contraction of the
+    matroid by S, in which the columns of S are zero.  Contraction by S
+    keeps exactly the hyperplanes that contain S, so the largest hyperplane
+    is the largest one found in the contractions by all such S.  After
+    g - 2 columns two rows are left, a matroid of rank 2, and the
+    hyperplanes of a rank-2 matroid are its parallel classes, each together
+    with the loops (Oxley, Matroid Theory, 3.1).  A two-row node therefore
+    reads its answer off: the zero columns are the loops, and two nonzero
+    columns are parallel iff they have the same direction, a 2-vector
+    divided by the gcd of its entries with its first nonzero entry made
+    positive; the least support is the number of nonzero columns less the
+    largest class.  There are at most C(n, g - 2) contractions, each
+    O(n), so the search costs O(n^(g-1)) at fixed g.  It stays
+    exponential in g: minimum weight is NP-hard (Vardy, "The
+    intractability of computing the minimum distance of a code", IEEE
+    Trans. IT 1997).
     """
     if algebra.dim == 0:
         raise ValueError("minimum rank of the zero algebra is undefined")
@@ -187,6 +205,14 @@ def min_rank(algebra: RegularSubalgebra) -> int:
     def search(rows: list[list[int]], start: int) -> int:
         if len(rows) == 1:
             return n - rows[0].count(0)
+        if len(rows) == 2:
+            directions: dict[tuple[int, int], int] = {}  # parallel class -> its size
+            for a, b in zip(*rows):
+                if a or b:
+                    d = gcd(a, b) if a > 0 or (a == 0 and b > 0) else -gcd(a, b)
+                    key = a // d, b // d
+                    directions[key] = directions.get(key, 0) + 1
+            return sum(directions.values()) - max(directions.values())
         best = n
         for j in range(start, n):
             pivot = next((row for row in rows if row[j]), None)

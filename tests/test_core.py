@@ -302,11 +302,16 @@ DESCRIPTOR_ERRORS = [
     ("n=3; cartan=H1,H[1,2]", None,
      "cartan generators are linearly dependent: 'n=3; cartan=H1,H[1,2]' at position 0",
      "n=3; cartan=H1,H[1,2]", 0),
+    # more digits than int() converts (4,300 by default)
+    ("n=" + "1" * 5000, 20,
+     f"integer has too many digits: '{'1' * 5000}' at position 2", "1" * 5000, 2),
+    ("n=3; nil=(" + "1" * 5000 + ",2)", 20,
+     f"integer has too many digits: '({'1' * 5000},2)' at position 9", f"({'1' * 5000},2)", 9),
 ]
 
 
 @pytest.mark.parametrize("text, max_n, message, token, position", DESCRIPTOR_ERRORS,
-                         ids=[case[0] for case in DESCRIPTOR_ERRORS])
+                         ids=[case[0][:40] for case in DESCRIPTOR_ERRORS])
 def test_descriptor_error_is_pinned(text, max_n, message, token, position):
     with pytest.raises(DescriptorError) as info:
         parse_descriptor(text, max_n)

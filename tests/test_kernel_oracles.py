@@ -37,13 +37,15 @@ def transitive_closure(n, pairs):
 
 
 @st.composite
-def cartan_spans(draw, n):
-    """Independent traceless integer vectors.  In half the draws some of them
-    are e_p - e_q; in the other half none is, so that the span seldom holds
-    a root vector and min_rank has to search the column matroid."""
+def cartan_spans(draw, n, counts=None):
+    """Independent traceless integer vectors, as many as drawn from counts
+    (0..n-1 by default) less those that fall in the span of earlier ones.
+    In half the draws some of them are e_p - e_q; in the other half none
+    is, so that the span seldom holds a root vector and min_rank has to
+    search the column matroid."""
     with_roots = draw(st.booleans())
     gens = []
-    for _ in range(draw(st.integers(0, n - 1))):
+    for _ in range(draw(st.integers(0, n - 1) if counts is None else counts)):
         if with_roots and draw(st.booleans()):
             p, q = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
             v = [0] * n
@@ -142,7 +144,22 @@ SPAN_AND_RELABELING = (RegularSubalgebra(6, frozenset(), SPAN_GENERATORS), (2, 6
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 7).flatmap(cartan_spans).filter(bool))
 @example(list(SPAN_GENERATORS))
+# g = 2 with a zero column (the fifth): the root is the two-row count.
+@example([[-1, 2, 0, 1, 0, -2], [-2, 0, -1, 1, 0, 2]])
+# g = 3: contracting the first column leaves the last three as (0, 2),
+# (0, -1) and (0, 3), one parallel class with mixed signs; so does
+# contracting any of the last three.
+@example([[0, 1, 1, -2, 0, 0, 0], [-1, -1, -2, 0, 0, 1, 3], [-1, 0, 1, 0, -2, 2, 0]])
 def test_min_rank_is_the_min_support(gens):
+    algebra = RegularSubalgebra(len(gens[0]), frozenset(), gens)
+    assert min_rank(algebra) == bruteforce.min_support(algebra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 10).flatmap(lambda n: cartan_spans(n, st.integers(2, 4))).filter(bool))
+def test_min_rank_is_the_min_support_past_two_rows(gens):
+    """n = 8..10 with up to four generators: up to two contractions before
+    the two-row count, which spans of n <= 7 seldom need."""
     algebra = RegularSubalgebra(len(gens[0]), frozenset(), gens)
     assert min_rank(algebra) == bruteforce.min_support(algebra)
 

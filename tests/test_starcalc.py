@@ -12,6 +12,7 @@ from regalg.core import (
     full_nil_set,
     h_pq_vector,
     h_vector,
+    parse_descriptor,
 )
 from regalg.starcalc import (
     action_dim_seq,
@@ -255,6 +256,35 @@ class TestGenericMaxRank:
             assert generic_max_rank(moved) == base
 
 
+# The Cartan-only algebras of perfbench's invariants-large workload (seed 1,
+# pass 0), each with a relabeled copy, and their minimum ranks as the search
+# down to one row found them before the two-row count.
+BENCHMARK_SPANS = [
+    ("n=13; nil=; cartan=diag(2,-1,1,0,1,2,0,0,3,-3,0,-1,-4),diag(1,1,2,0,2,2,2,-2,-1,0,2,0,-9),"
+     "diag(0,1,1,0,-2,2,-2,-1,-3,-3,-2,-1,10)", 8),
+    ("n=13; nil=; cartan=diag(1,-4,0,2,-3,1,-1,0,3,-1,2,0,0),diag(2,-9,0,2,0,2,0,-2,-1,1,1,2,2),"
+     "diag(1,10,0,2,-3,-2,-1,-1,-3,1,0,-2,-2)", 8),
+    ("n=15; nil=; cartan=diag(1,1,3,1,-3,1,-2,-3,1,-3,-1,-1,-3,2,6),"
+     "diag(-1,3,-3,2,-1,-3,2,0,2,-1,2,-2,-1,2,-1),diag(2,0,1,3,1,1,-3,1,1,0,-1,-1,-1,-3,-1)", 11),
+    ("n=15; nil=; cartan=diag(-1,6,-1,-3,-3,1,-3,1,-3,3,1,2,-2,1,1),"
+     "diag(-2,-1,2,0,-1,-3,-1,2,-1,-3,2,2,2,3,-1),diag(-1,-1,-1,1,0,1,-1,1,1,1,3,-3,-3,0,2)", 11),
+    ("n=17; nil=; cartan=diag(3,-1,-2,2,1,-2,1,-3,-3,0,-3,3,1,-1,0,1,3),"
+     "diag(1,2,1,-1,-2,-2,-1,3,-3,0,2,2,1,-2,-3,0,2),diag(2,0,-2,0,-1,1,1,-1,-2,2,0,-2,2,2,0,-3,1),"
+     "diag(1,1,2,2,0,0,1,2,0,2,-1,-3,-1,1,1,0,-8)", 12),
+    ("n=17; nil=; cartan=diag(3,-3,-1,1,1,3,2,-2,0,1,0,-1,-3,3,-3,-2,1),"
+     "diag(2,2,-2,-2,0,2,-1,1,-3,-1,0,2,-3,1,3,-2,1),diag(1,0,2,-1,-3,-2,0,-2,0,1,2,0,-2,2,-1,1,2),"
+     "diag(-8,-1,1,0,0,-3,2,2,1,1,2,1,0,1,2,0,-1)", 12),
+    ("n=19; nil=; cartan=diag(1,-1,2,1,3,-2,-1,-2,3,-2,-3,-2,-3,0,0,1,-1,3,3),"
+     "diag(-1,1,0,-3,-1,0,3,2,2,0,-3,2,1,-3,-3,-3,3,-3,6),"
+     "diag(-1,2,-2,1,3,-2,-1,0,2,0,-3,-1,-2,3,-3,2,2,1,-1),"
+     "diag(0,-3,2,-1,1,2,2,-2,0,1,0,0,-1,2,0,3,-2,0,-4)", 13),
+    ("n=19; nil=; cartan=diag(1,-2,-1,1,0,-3,-1,3,-1,3,-2,0,2,-2,-3,-2,3,3,1),"
+     "diag(-3,0,3,-1,-3,-3,3,-1,1,-3,2,-3,0,2,1,0,2,6,-3),"
+     "diag(1,0,-1,-1,-3,-3,2,3,2,1,0,3,-2,-1,-2,-2,2,-1,2),"
+     "diag(-1,1,2,0,0,0,-2,1,-3,0,-2,2,2,0,-1,2,0,-4,3)", 13),
+]
+
+
 class TestMinRank:
     def test_nil_member_gives_one(self):
         assert min_rank(RegularSubalgebra(4, {(1, 4)}, full_cartan(4))) == 1
@@ -273,3 +303,7 @@ class TestMinRank:
         with pytest.raises(ValueError):
             min_rank(RegularSubalgebra(3))
 
+    @pytest.mark.parametrize("text, expected", BENCHMARK_SPANS,
+                             ids=[f"n{text[2:4]}-{k % 2}" for k, (text, _) in enumerate(BENCHMARK_SPANS)])
+    def test_benchmark_spans(self, text, expected):
+        assert min_rank(parse_descriptor(text)) == expected
