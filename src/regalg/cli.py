@@ -31,11 +31,6 @@ from .invariants import signature
 from .verify import SUITE_MIN_N, SUITES, Check
 
 ENUM_MIN_N, ENUM_MAX_N = 2, 8
-# largest n of an invariants or decide descriptor: min_rank (the minimum
-# distance of a code, NP-hard) takes about 1.4 s at n = 20 with g = 8
-# generators and 7.7 s with g = 10 (random entries in [-3, 3]; one core
-# of a shared 2-vCPU VM, Python 3.11)
-DESCRIPTOR_MAX_N = 20
 
 
 class CommandError(ValueError):
@@ -168,7 +163,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    algebra = parse_descriptor(args.descriptor, DESCRIPTOR_MAX_N)
+    algebra = parse_descriptor(args.descriptor)
     sig = signature(algebra)
     report = {
         "command": "invariants",
@@ -183,8 +178,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    a = parse_descriptor(args.descriptor_a, DESCRIPTOR_MAX_N)
-    b = parse_descriptor(args.descriptor_b, DESCRIPTOR_MAX_N)
+    a = parse_descriptor(args.descriptor_a)
+    b = parse_descriptor(args.descriptor_b)
     verdict = decide(a, b)
     report = {
         "command": "decide",

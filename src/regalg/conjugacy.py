@@ -105,9 +105,31 @@ def permute_subalgebra(algebra: RegularSubalgebra, sigma) -> RegularSubalgebra |
 
 
 def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
-    """The relabeling sigma carries a onto b.  Every witness is re-verified
-    through this check before it is reported."""
-    return permute_subalgebra(a, sigma) == b
+    """The relabeling sigma carries a onto b, i.e.
+    permute_subalgebra(a, sigma) == b, checked without building the image.
+    Every witness is re-verified through this check before it is reported.
+
+    Proof.  Take equal n, nil-set sizes and generator counts.  The image nil
+    set {(sigma i, sigma j)} has as many positions as a's, since sigma is
+    injective; if all of them lie in b's nil set, the two sets are equal
+    (and no position lands below the diagonal).  The image span is
+    {w : w o sigma in span(a)}, and w o sigma, the vector u with
+    u[k] = w[sigma(k)], lies in span(a) iff it is orthogonal to every row
+    of a.cartan_null.  So if every generator of b passes, span(b) lies in
+    the image span; both have dimension the generator count, since each
+    generator list is independent, so they are equal.  Conversely an equal
+    image passes every check.
+    """
+    sigma = _check_perm(sigma, a.n)
+    if a.n != b.n or len(a.nil_set) != len(b.nil_set) or len(a.cartan_gens) != len(b.cartan_gens):
+        return False
+    if any((sigma[i - 1], sigma[j - 1]) not in b.nil_set for i, j in a.nil_set):
+        return False
+    for w in b.cartan_gens:
+        u = [w[s - 1] for s in sigma]
+        if any(sum(x * y for x, y in zip(row, u)) for row in a.cartan_null):
+            return False
+    return True
 
 
 def _column_relations(null, n: int) -> list[tuple[int, tuple[tuple[int, int], ...]] | None]:
@@ -157,13 +179,10 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
     if len(a.cartan_gens) != len(b.cartan_gens) or len(a.nil_set) != len(b.nil_set):
         return None
     a_out, b_out = a.nil_rows, b.nil_rows
-    # in-neighbour masks: bit i of in[j] is set iff bit j of out[i] is
-    a_in, b_in = ([sum(1 << i for i, row in enumerate(out) if row >> j & 1) for j in range(n)]
-                  for out in (a_out, b_out))
-    a_cols = list(zip(*a.cartan_gens)) or [()] * n
+    a_in, b_in = a.nil_cols, b.nil_cols
     b_cols = list(zip(*b.cartan_gens)) or [()] * n
-    a_colour = [(a_out[i].bit_count(), a_in[i].bit_count(), any(a_cols[i])) for i in range(n)]
-    b_colour = [(b_out[t].bit_count(), b_in[t].bit_count(), any(b_cols[t])) for t in range(n)]
+    a_colour = [(a_out[i].bit_count(), a_in[i].bit_count(), a.cartan_support >> i & 1) for i in range(n)]
+    b_colour = [(b_out[t].bit_count(), b_in[t].bit_count(), b.cartan_support >> t & 1) for t in range(n)]
     if sorted(a_colour) != sorted(b_colour):
         return None
     candidates = [[t for t in range(n) if b_colour[t] == a_colour[k]] for k in range(n)]

@@ -111,11 +111,11 @@ def _empty_row_anchored_flag(algebra: RegularSubalgebra) -> bool:
     coordinate n to the pattern; anchoring to empty rows restores exact
     equivariance under simultaneous relabeling.  Some element of the span
     is nonzero at a coordinate iff some generator is, since every element
-    is a combination of the generators, so the generators answer it for
+    is a combination of the generators, so cartan_support answers it for
     every basis of the span.
     """
-    empty_rows = [i for i, row in enumerate(algebra.nil_rows) if not row]
-    return any(v[i] for v in algebra.cartan_gens for i in empty_rows)
+    empty_rows = sum(1 << i for i, row in enumerate(algebra.nil_rows) if not row)
+    return bool(algebra.cartan_support & empty_rows)
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +123,8 @@ def signature(algebra: RegularSubalgebra) -> InvariantSignature:
     """Full invariant tuple of a closed subalgebra.
 
     Series and action sequences are taken on the maximal nilpotent part,
-    whose pattern is nil_rows; dim and the rank fields see the whole
-    algebra.  Every field comes from an exact, deterministic kernel.
+    whose pattern is nil_rows (its transpose nil_cols for the column
+    action); dim and the rank fields see the whole algebra.  Every field comes from an exact, deterministic kernel.
     """
     require_closed(algebra)
     rows = algebra.nil_rows
@@ -133,8 +133,8 @@ def signature(algebra: RegularSubalgebra) -> InvariantSignature:
         dim=algebra.dim,
         nil_dim=algebra.nil_dim,
         derived_dims=tuple(derived_series_dims(rows)),
-        col_action_seq=tuple(action_dim_seq(rows, "column")),
-        row_action_seq=tuple(action_dim_seq(rows, "row")),
+        col_action_seq=tuple(action_dim_seq(algebra.nil_cols)),
+        row_action_seq=tuple(action_dim_seq(rows)),
         max_rank=generic_max_rank(algebra),
         min_rank=min_rank(algebra) if algebra.dim else 0,
         cartan_signature=records,

@@ -77,22 +77,20 @@ def derived_series_dims(pattern: tuple[int, ...]) -> list[int]:
         pattern = bool_mul(pattern, pattern)
 
 
-def action_dim_seq(rows: tuple[int, ...], side: str) -> list[int]:
-    """Support sizes of successive powers of a nil pattern acting on the
-    full support vector, ending at the first 0.
+def action_dim_seq(rows: tuple[int, ...]) -> list[int]:
+    """Support sizes of successive powers of a pattern acting on the full
+    support vector from the right (row_action), ending at the first 0.
 
-    side is "column" for the left action on column vectors, "row" for the
-    right action on row vectors.  The pattern is strictly upper triangular,
-    so each column action lowers the highest set coordinate and each row
-    action raises the lowest one: the support empties within n steps and
-    never repeats.
+    The left action on column vectors is the right action of the transpose,
+    so nil_rows gives the row sequence and nil_cols the column sequence.
+    Each step raises the lowest set coordinate of a strictly upper pattern
+    and lowers the highest of a strictly lower one, so the support empties
+    within n steps and never repeats.
     """
-    if side not in ("column", "row"):
-        raise ValueError(f"side must be 'column' or 'row', got {side!r}")
     v = (1 << len(rows)) - 1
     dims = []
     while v:
-        v = col_action(rows, v) if side == "column" else row_action(v, rows)
+        v = _reach(rows, v)
         dims.append(v.bit_count())
     return dims
 
@@ -131,9 +129,8 @@ def generic_max_rank(algebra_or_pattern) -> int:
     if isinstance(algebra_or_pattern, tuple):
         rows = algebra_or_pattern
     else:
-        gens = algebra_or_pattern.cartan_gens
-        rows = tuple(row | any(v[i] for v in gens) << i
-                     for i, row in enumerate(algebra_or_pattern.nil_rows))
+        support = algebra_or_pattern.cartan_support
+        rows = tuple(row | support & 1 << i for i, row in enumerate(algebra_or_pattern.nil_rows))
     owner: dict[int, int] = {}  # matched column bit -> its row
     visited = 0
 

@@ -87,6 +87,12 @@ class TestPermuteSubalgebra:
         with pytest.raises(ValueError):
             permute_subalgebra(RegularSubalgebra(3), (1, 1, 2))
 
+    def test_maps_onto_rejects_what_permute_subalgebra_rejects(self):
+        # the same message, also when the other operand has another n
+        for b in (RegularSubalgebra(3), RegularSubalgebra(4)):
+            with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.3"):
+                maps_onto(RegularSubalgebra(3), (1, 1, 2), b)
+
 
 class TestPermConjugate:
     """The witness decide reports: the lexicographically first permutation

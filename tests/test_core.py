@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 from regalg.core import (
+    DESCRIPTOR_MAX_N,
     DescriptorError,
     Diag,
     DimensionMismatchError,
@@ -128,6 +129,28 @@ class TestRegularSubalgebra:
     def test_rejects_non_integer_entry(self, entry):
         with pytest.raises(ValueError, match="non-integer entry"):
             RegularSubalgebra(3, {(1, 2)}, [(entry, -entry, 0)])
+
+
+class TestDerivedForms:
+    @pytest.mark.parametrize("nil", [set(), {(1, 3), (1, 4), (3, 4)}, full_nil_set(5)])
+    def test_nil_cols_is_the_transpose_of_nil_rows(self, nil):
+        algebra = RegularSubalgebra(5, nil, ())
+        for i, j in product(range(5), repeat=2):
+            assert algebra.nil_cols[j] >> i & 1 == algebra.nil_rows[i] >> j & 1, (i, j)
+
+    def test_cartan_support_is_the_union_of_generator_supports(self):
+        assert RegularSubalgebra(5).cartan_support == 0
+        algebra = RegularSubalgebra(5, frozenset(), (h_vector(5, 1), (0, 0, 2, 0, -2)))
+        assert algebra.cartan_support == 0b10111
+        assert RegularSubalgebra(4, frozenset(), full_cartan(4)).cartan_support == 0b1111
+
+    def test_two_bases_of_one_span_have_one_support(self):
+        # H1 + H2 = H[1,3] and H1 - H[1,3] = -H2: three bases of one span
+        bases = [(h_vector(4, 1), h_vector(4, 2)),
+                 (h_pq_vector(4, 1, 3), h_vector(4, 2)),
+                 (h_vector(4, 1), h_pq_vector(4, 1, 3))]
+        supports = {RegularSubalgebra(4, frozenset(), gens).cartan_support for gens in bases}
+        assert supports == {0b0111}
 
 
 class TestClosure:
@@ -272,12 +295,17 @@ class TestEquality:
         assert a != RegularSubalgebra(4, {(1, 3)}, (h_vector(4, 1),))
 
 
+DEFAULT_MAX_N = object()  # call parse_descriptor without max_n
+
 # One input per error message, with the message, token and position it gives.
 DESCRIPTOR_ERRORS = [
     ("n=3; nil=(1,2); x", None, "expected key=value segment: 'x' at position 16", "x", 16),
     ("n=3; n=4", None, "duplicate segment: 'n' at position 5", "n", 5),
     ("n=x", None, "n must be a positive integer: 'x' at position 2", "x", 2),
     ("n=21; nil=(1,2)", 20, "n must be at most 20: '21' at position 2", "21", 2),
+    # the default bound, before any of the 21,110 vectors of cartan_null is built
+    ("n=21111; nil=(1,2); cartan=H1", DEFAULT_MAX_N,
+     "n must be at most 20: '21111' at position 2", "21111", 2),
     ("n=3; nil=(1,2),(2", None, "expected (i,j) pair: '(2' at position 15", "(2", 15),
     ("n=3; nil=(1,2),(1,2)", None, "duplicate nil pair: '(1,2)' at position 15", "(1,2)", 15),
     ("n=3; nil=(1,2)(2,3)", None, "expected ',' between pairs: '(2,3)' at position 14", "(2,3)", 14),
@@ -314,8 +342,13 @@ DESCRIPTOR_ERRORS = [
                          ids=[case[0][:40] for case in DESCRIPTOR_ERRORS])
 def test_descriptor_error_is_pinned(text, max_n, message, token, position):
     with pytest.raises(DescriptorError) as info:
-        parse_descriptor(text, max_n)
+        parse_descriptor(text) if max_n is DEFAULT_MAX_N else parse_descriptor(text, max_n)
     assert (str(info.value), info.value.token, info.value.position) == (message, token, position)
+
+
+def test_default_bound_is_descriptor_max_n():
+    assert parse_descriptor(f"n={DESCRIPTOR_MAX_N}; nil=(1,2)").n == DESCRIPTOR_MAX_N
+    assert parse_descriptor("n=25; nil=(1,2)", None).n == 25
 
 
 SEED_DESCRIPTORS = [

@@ -16,6 +16,7 @@ from regalg.conjugacy import (
     _witness_scan,
     classify_family,
     decide,
+    maps_onto,
     permute_subalgebra,
 )
 from regalg.core import RegularSubalgebra, full_nil_set
@@ -204,6 +205,32 @@ def test_witness_scan_matches_exhaustive_scan(a, data):
         first, second, *rest = b.cartan_gens
         b = RegularSubalgebra(b.n, b.nil_set, [[x + y for x, y in zip(first, second)], second, *rest])
     assert _witness_scan(a, b) == bruteforce.witness_scan_exhaustive(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_algebras(max_n=7), st.data())
+def test_maps_onto_is_image_equality(a, data):
+    """maps_onto against the built image, for b a relabeled copy of a (or
+    that copy with other Cartan data) and sigma either that relabeling or
+    any permutation, one that sends a nil pair below the diagonal included."""
+    tau = data.draw(upper_relabelings(a))
+    b = permute_subalgebra(a, tau)
+    copy = data.draw(st.sampled_from(
+        ["relabeled", "other span", "reordered generators", "other basis"]))
+    if copy == "other span":
+        # keep some of b's generators, so that checking only those is not enough
+        gens = list(b.cartan_gens[:data.draw(st.integers(0, len(b.cartan_gens)))])
+        for v in data.draw(cartan_spans(b.n)):
+            if bruteforce.rank(gens + [v]) == len(gens) + 1:
+                gens.append(v)
+        b = RegularSubalgebra(b.n, b.nil_set, gens[:len(b.cartan_gens)])
+    elif copy == "reordered generators":
+        b = RegularSubalgebra(b.n, b.nil_set, data.draw(st.permutations(b.cartan_gens)))
+    elif copy == "other basis" and len(b.cartan_gens) > 1:
+        first, second, *rest = b.cartan_gens
+        b = RegularSubalgebra(b.n, b.nil_set, [[x + y for x, y in zip(first, second)], second, *rest])
+    sigma = data.draw(st.one_of(st.just(tau), st.permutations(range(1, a.n + 1))))
+    assert maps_onto(a, sigma, b) == (permute_subalgebra(a, sigma) == b)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])

@@ -174,27 +174,23 @@ class TestDerivedSeries:
 class TestActionDimSeq:
     def test_full_nilpotent_column(self):
         algebra = RegularSubalgebra(4, full_nil_set(4), ())
-        assert action_dim_seq(algebra.nil_rows, "column") == [3, 2, 1, 0]
+        assert action_dim_seq(algebra.nil_cols) == [3, 2, 1, 0]
 
     def test_abelian(self):
         algebra = RegularSubalgebra(4, {(2, 3)}, ())
-        assert action_dim_seq(algebra.nil_rows, "column") == [1, 0]
-        assert action_dim_seq(algebra.nil_rows, "row") == [1, 0]
+        assert action_dim_seq(algebra.nil_cols) == [1, 0]
+        assert action_dim_seq(algebra.nil_rows) == [1, 0]
 
     def test_missing_last_offdiagonal_column(self):
         algebra = RegularSubalgebra(4, full_nil_set(4) - {(3, 4)}, ())
-        assert action_dim_seq(algebra.nil_rows, "column") == [2, 1, 0]
-
-    def test_side_validation(self):
-        with pytest.raises(ValueError):
-            action_dim_seq(RegularSubalgebra(3).nil_rows, "sideways")
+        assert action_dim_seq(algebra.nil_cols) == [2, 1, 0]
 
     def test_matches_exact_power_supports(self):
         from regalg.families import enum_all_nilpotent_oracle
 
         for algebra in enum_all_nilpotent_oracle(4):
-            for side in ("column", "row"):
-                assert action_dim_seq(algebra.nil_rows, side) == bruteforce.span_power_action_dims(
+            for side, pattern in (("column", algebra.nil_cols), ("row", algebra.nil_rows)):
+                assert action_dim_seq(pattern) == bruteforce.span_power_action_dims(
                     algebra, side
                 ), (algebra.descriptor(), side)
 
