@@ -268,10 +268,10 @@ def dimension_bound(algebra: RegularSubalgebra, missing: tuple[int, int]) -> int
 # explicit traceless integer vector.
 
 # largest n parse_descriptor admits by default: min_rank (the minimum
-# distance of a code, NP-hard) is slowest when the span has nearly n
-# generators, and its worst measured case at n = 20 is about 62 s, with
-# g = 18 generators (random entries in [-3, 3]; one core of a shared 2-vCPU
-# VM, Python 3.11)
+# distance of a code, NP-hard) is slowest when the span has about n/2
+# generators; over three random spans per g at n = 20 (entries in
+# [-3, 3]), its worst measured case is about 1 s, at g = 11 and 12, and
+# g = 18 takes 0.02 s (one core of a shared 2-vCPU VM, Python 3.11)
 DESCRIPTOR_MAX_N = 20
 
 _NIL_PAIR = re.compile(r"\((\d+),(\d+)\)")

@@ -9,17 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
+from itertools import combinations
 
-from .core import RegularSubalgebra, require_closed
-from .starcalc import (
-    action_dim_seq,
-    adjoint_image_pattern,
-    col_action,
-    derived_series_dims,
-    generic_max_rank,
-    min_rank,
-    row_action,
-)
+from .core import RegularSubalgebra, h_pq_vector, require_closed
+from .starcalc import action_dim_seq, derived_series_dims, generic_max_rank, min_rank
 
 
 def _camel(attr: str) -> str:
@@ -40,7 +33,31 @@ def _to_json(value):
 @dataclass(frozen=True, order=True)
 class CartanRecord:
     """Invariants of the adjoint action of one root vector e_p - e_q of the
-    diagonal span on the nil part, ordered field by field."""
+    diagonal span on the nil part, ordered field by field: the supports of
+    the images of the full column and row vectors under its adjoint pattern,
+    and that pattern's generic rank (cartan_record computes them).
+
+    The adjoint pattern is a cross.  [e_p - e_q, E_ij] = (h_i - h_j) E_ij
+    with h = e_p - e_q, and h_i = h_j iff neither i nor j is p or q, so the
+    pattern holds the nil positions in rows p and q and in columns p and q.
+    Write R_p, R_q for the nil rows and C_p, C_q for the nil columns of p
+    and q.  A row of the cross is nonempty iff it is row p with R_p
+    nonempty, row q with R_q nonempty, or a row in C_p | C_q, which gives
+    adj_col_dim; adj_row_dim is the same count on the transpose.
+
+    For adj_max_rank, every nil position lies above the diagonal and
+    p < q, so rows p and q meet columns p and q at most in (p, q).
+    Without that position the cross splits into two stars with two centres
+    each: rows p, q against the columns R_p, R_q, and columns p, q against
+    the rows C_p, C_q.  A maximum matching of two centres into leaf sets X
+    and Y has 2 edges iff X and Y are nonempty with |X | Y| >= 2, 1 edge
+    iff X | Y is nonempty otherwise, else none (_two_centres); the rank is
+    the sum over the two stars.  With (p, q) nil, a matching that avoids
+    it is the same sum with q taken out of R_p and p out of C_q; one that
+    uses it leaves row q, which meets only R_q, and column p, which meets
+    only C_p, and adds one edge for each that is nonempty.  The rank is
+    the larger of the two.
+    """
 
     adj_col_dim: int
     adj_row_dim: int
@@ -68,36 +85,51 @@ class InvariantSignature:
 FIELD_ORDER = tuple((f.name, _camel(f.name)) for f in fields(InvariantSignature))
 
 
+def _root_pairs(algebra: RegularSubalgebra) -> list[tuple[int, int]]:
+    """The pairs (p, q), 1 <= p < q <= n, in increasing order, with e_p - e_q
+    in the diagonal span.  The span is the orthogonal complement of its
+    annihilator, so e_p - e_q lies in it iff a_p = a_q for every
+    annihilator basis vector a, that is iff annihilator columns p and q are
+    equal."""
+    groups: dict[tuple[int, ...], list[int]] = {}  # annihilator column -> its coordinates
+    for k, column in enumerate(zip(*algebra.cartan_null), start=1):
+        groups.setdefault(column, []).append(k)
+    return sorted(pair for group in groups.values() for pair in combinations(group, 2))
+
+
 def root_vectors_in_span(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], ...]:
     """Two-entry diagonal vectors e_p - e_q (p < q) lying in the diagonal
     span.  Simultaneous relabeling by sigma maps this set onto the set of
     the image span (up to irrelevant sign), which makes any multiset built
     over it an exact monomial-conjugation invariant; an RREF basis has no
     such equivariance because row reduction is coordinate-order sensitive.
-
-    The span is the orthogonal complement of its annihilator, so e_p - e_q
-    lies in it iff a_p = a_q for every annihilator basis vector a, that is
-    iff annihilator columns p and q are equal.
     """
-    n = algebra.n
-    columns = list(zip(*algebra.cartan_null))
-    out = []
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            if columns[p] == columns[q]:
-                v = [0] * n
-                v[p], v[q] = 1, -1
-                out.append(tuple(v))
-    return tuple(out)
+    return tuple(h_pq_vector(algebra.n, p, q) for p, q in _root_pairs(algebra))
 
 
-def _cartan_record(h: tuple[int, ...], algebra: RegularSubalgebra) -> CartanRecord:
-    pattern = adjoint_image_pattern(h, algebra)
-    full = (1 << algebra.n) - 1
+def _two_centres(x: int, y: int) -> int:
+    """Largest matching of two centres into the leaf sets x and y."""
+    if x and y and (x | y).bit_count() >= 2:
+        return 2
+    return 1 if x | y else 0
+
+
+def cartan_record(algebra: RegularSubalgebra, p: int, q: int) -> CartanRecord:
+    """The CartanRecord of e_p - e_q, 1 <= p < q <= n, read off the nil rows
+    and columns of p and q in O(1) bit operations (proof in CartanRecord).
+    The nil set need not be closed."""
+    if not 1 <= p < q <= algebra.n:
+        raise ValueError(f"root vector e_{p} - e_{q} out of range for n={algebra.n}")
+    row_p, row_q = algebra.nil_rows[p - 1], algebra.nil_rows[q - 1]
+    col_p, col_q = algebra.nil_cols[p - 1], algebra.nil_cols[q - 1]
+    bit_p, bit_q = 1 << p - 1, 1 << q - 1
+    rank = _two_centres(row_p & ~bit_q, row_q) + _two_centres(col_p, col_q & ~bit_p)
+    if row_p & bit_q:  # (p, q) is a nil position
+        rank = max(rank, 1 + bool(row_q) + bool(col_p))
     return CartanRecord(
-        adj_col_dim=col_action(pattern, full).bit_count(),
-        adj_row_dim=row_action(full, pattern).bit_count(),
-        adj_max_rank=generic_max_rank(pattern),
+        adj_col_dim=(col_p | col_q | (bit_p if row_p else 0) | (bit_q if row_q else 0)).bit_count(),
+        adj_row_dim=(row_p | row_q | (bit_p if col_p else 0) | (bit_q if col_q else 0)).bit_count(),
+        adj_max_rank=rank,
     )
 
 
@@ -128,7 +160,7 @@ def signature(algebra: RegularSubalgebra) -> InvariantSignature:
     """
     require_closed(algebra)
     rows = algebra.nil_rows
-    records = tuple(sorted(_cartan_record(h, algebra) for h in root_vectors_in_span(algebra)))
+    records = tuple(sorted(cartan_record(algebra, p, q) for p, q in _root_pairs(algebra)))
     return InvariantSignature(
         dim=algebra.dim,
         nil_dim=algebra.nil_dim,

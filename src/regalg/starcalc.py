@@ -19,32 +19,11 @@ from . import linalg
 from .core import DimensionMismatchError, RegularSubalgebra, _reach
 
 
-def _check_support(x: tuple[int, ...], v: int) -> None:
-    if v >> len(x):
-        raise DimensionMismatchError(f"support {v:#b} is wider than n={len(x)}")
-
-
 def bool_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     """Boolean matrix product: (XY)(i,l) = OR_k X(i,k) AND Y(k,l)."""
     if len(x) != len(y):
         raise DimensionMismatchError(f"pattern sizes {len(x)} and {len(y)} differ")
     return tuple(_reach(y, row) for row in x)
-
-
-def col_action(x: tuple[int, ...], v: int) -> int:
-    """Left action on a column support: output i set iff row i meets v."""
-    _check_support(x, v)
-    mask = 0
-    for idx, row in enumerate(x):
-        if row & v:
-            mask |= 1 << idx
-    return mask
-
-
-def row_action(v: int, x: tuple[int, ...]) -> int:
-    """Right action on a row support: output j set iff column j meets v."""
-    _check_support(x, v)
-    return _reach(x, v)
 
 
 def commutator_pattern(algebra: RegularSubalgebra) -> tuple[int, ...]:
@@ -79,7 +58,8 @@ def derived_series_dims(pattern: tuple[int, ...]) -> list[int]:
 
 def action_dim_seq(rows: tuple[int, ...]) -> list[int]:
     """Support sizes of successive powers of a pattern acting on the full
-    support vector from the right (row_action), ending at the first 0.
+    support vector from the right (a row support goes to the OR of the rows
+    it selects), ending at the first 0.
 
     The left action on column vectors is the right action of the transpose,
     so nil_rows gives the row sequence and nil_cols the column sequence.
@@ -171,25 +151,41 @@ def min_rank(algebra: RegularSubalgebra) -> int:
     coordinates permutes the columns and a change of span basis keeps the
     matroid, so the value is invariant under both.
 
-    Search.  Each hyperplane is the closure of g - 1 independent columns,
-    so for g >= 2 it contains g - 2 of them.  The search goes over
-    increasing independent column sets S of size up to g - 2, keeping the
-    rows y.G for a basis of the y orthogonal to S: the contraction of the
-    matroid by S, in which the columns of S are zero.  Contraction by S
-    keeps exactly the hyperplanes that contain S, so the largest hyperplane
-    is the largest one found in the contractions by all such S.  After
-    g - 2 columns two rows are left, a matroid of rank 2, and the
-    hyperplanes of a rank-2 matroid are its parallel classes, each together
-    with the loops (Oxley, Matroid Theory, 3.1).  A two-row node therefore
-    reads its answer off: the zero columns are the loops, and two nonzero
-    columns are parallel iff they have the same direction, a 2-vector
-    divided by the gcd of its entries with its first nonzero entry made
-    positive; the least support is the number of nonzero columns less the
-    largest class.  There are at most C(n, g - 2) contractions, each
-    O(n), so the search costs O(n^(g-1)) at fixed g.  It stays
-    exponential in g: minimum weight is NP-hard (Vardy, "The
+    Search.  The search walks independent column sets S = {s_1 < ... < s_k}
+    of increasing columns, keeping the rows y.G for a basis of the y
+    orthogonal to S: the contraction of the matroid by S, in which the
+    columns of the closure cl(S) are zero.  It counts each hyperplane F in
+    full only at its lexicographically first basis, the one that scanning
+    the columns in order and keeping each column outside the closure of
+    those kept picks (the greedy basis; Oxley, Matroid Theory, 1.8).  If S
+    is a prefix of that basis, a column of F before s_k lies in the closure
+    of the basis columns before it, hence in cl(S), and a column outside
+    cl(S) before s_k is not in F.  So a node keeps only the columns after s_k, plus a
+    count base of the columns up to s_k that are zero in its contraction,
+    the pivots included; a child that pivots on column j adds the zero
+    columns seen since s_k and j itself.  Every count is at most the zero
+    set of some nonzero x, because the columns it counts lie in a flat of
+    rank at most g - 1; and along the first basis of F it is exactly |F|.
+
+    A node of two rows (g - 2 pivots) reads its hyperplanes off: the
+    contraction has rank 2, and the hyperplanes of a rank-2 matroid are
+    its parallel classes, each together with the loops (Oxley, 3.1).  Two
+    nonzero columns are parallel iff they have the same direction, a
+    2-vector divided by the gcd of its entries with its first nonzero
+    entry made positive; the node's count is base, its zero columns and
+    its largest class.  A node of one row (g = 1) counts base and its zero
+    columns.
+
+    Bound.  The largest hyperplane found so far, best, starts at g - 1,
+    the size of every basis of a hyperplane.  Past column j of a node, no
+    hyperplane below it has more than base + the zero columns seen before
+    j + the columns from j on, so the node stops once that is at most
+    best: only a strictly larger hyperplane can change the answer.  The
+    answer is n - best.  Minimum weight is NP-hard (Vardy, "The
     intractability of computing the minimum distance of a code", IEEE
-    Trans. IT 1997).
+    Trans. IT 1997), so the search stays exponential in the worst case;
+    the bound prunes hardest when g is close to n, where best starts
+    large.
     """
     if algebra.dim == 0:
         raise ValueError("minimum rank of the zero algebra is undefined")
@@ -198,26 +194,35 @@ def min_rank(algebra: RegularSubalgebra) -> int:
     n = algebra.n
     if len(set(zip(*algebra.cartan_null))) < n:
         return 2
+    best = len(algebra.cartan_gens) - 1
 
-    def search(rows: list[list[int]], start: int) -> int:
-        if len(rows) == 1:
-            return n - rows[0].count(0)
-        if len(rows) == 2:
+    def search(rows: list[list[int]], base: int) -> None:
+        nonlocal best
+        if len(rows) <= 2:
+            zeros = 0
             directions: dict[tuple[int, int], int] = {}  # parallel class -> its size
-            for a, b in zip(*rows):
-                if a or b:
+            for column in zip(*rows):
+                if not any(column):
+                    zeros += 1
+                elif len(rows) == 2:
+                    a, b = column
                     d = gcd(a, b) if a > 0 or (a == 0 and b > 0) else -gcd(a, b)
                     key = a // d, b // d
                     directions[key] = directions.get(key, 0) + 1
-            return sum(directions.values()) - max(directions.values())
-        best = n
-        for j in range(start, n):
+            best = max(best, base + zeros + max(directions.values(), default=0))
+            return
+        width = len(rows[0])
+        zeros = 0
+        for j in range(width):
+            if base + zeros + width - j <= best:
+                return
             pivot = next((row for row in rows if row[j]), None)
             if pivot is None:
-                continue  # column j lies in the span of the chosen columns
-            rest = [linalg._eliminate(row, pivot, j) for row in rows if row is not pivot]
-            best = min(best, search(rest, j + 1))
-        return best
+                zeros += 1  # column j lies in the closure of the pivots
+                continue
+            tail = pivot[j:]
+            rest = [linalg._eliminate(row[j:], tail, 0)[1:] for row in rows if row is not pivot]
+            search(rest, base + zeros + 1)
 
-    return search([list(v) for v in algebra.cartan_gens], 0)
-
+    search([list(v) for v in algebra.cartan_gens], 0)
+    return n - best

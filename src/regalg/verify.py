@@ -26,7 +26,6 @@ from .core import (
     bracket,
     dimension_bound,
     full_nil_set,
-    h_pq_vector,
     h_vector,
     is_closed,
 )
@@ -46,8 +45,7 @@ from .families import (
     enum_drc,
     make_drc,
 )
-from .invariants import signature
-from .starcalc import adjoint_image_pattern, col_action, row_action
+from .invariants import cartan_record, signature
 
 DRC_KS = (1, 2, 3)
 
@@ -107,11 +105,11 @@ def codim1(n: int) -> Iterator[Check]:
     # the cartan records alone separate the generator-dropped pairs from
     # n=4 on; at n=3 the single tie (L_1, L_2) falls to the last-row flag,
     # the q=n separator
-    def cartan_record(sig):
+    def cartan_fields(sig):
         return sig.cartan_signature if n >= 4 else (sig.cartan_signature, sig.last_row_cartan_flag)
 
     cartan_pairs_ok = all(
-        cartan_record(sigs[i]) != cartan_record(sigs[j])
+        cartan_fields(sigs[i]) != cartan_fields(sigs[j])
         for i, j in combinations(range(len(members)), 2)
         if labels[i].kind == labels[j].kind == "L"
     )
@@ -330,12 +328,11 @@ def kernels(n: int) -> Iterator[Check]:
     )
 
     full_e = RegularSubalgebra(n, full_nil_set(n), ())
-    full = (1 << n) - 1
     col_dims, row_sizes = {}, {}
     for p, q in combinations(range(1, n + 1), 2):
-        pattern = adjoint_image_pattern(h_pq_vector(n, p, q), full_e)
-        col_dims[p, q] = col_action(pattern, full).bit_count()
-        row_sizes.setdefault(p, set()).add(row_action(full, pattern).bit_count())
+        record = cartan_record(full_e, p, q)
+        col_dims[p, q] = record.adj_col_dim
+        row_sizes.setdefault(p, set()).add(record.adj_row_dim)
     row_dims = {p: min(sizes) for p, sizes in row_sizes.items()}
     adj_ok = (
         all(dim == (q if q < n else n - 1) for (_, q), dim in col_dims.items())

@@ -3,7 +3,9 @@
 Everything here recomputes results through exact rational linear algebra
 (Fraction row reduction, kept apart from the package's integer kernel) on
 explicit bracket expansions, deliberately avoiding the boolean-pattern
-shortcuts of the package under test.
+shortcuts of the package under test.  The pattern actions col_action and
+row_action are the direct loops over a pattern's rows that the
+closed-form Cartan records are checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
-from regalg.core import RegularSubalgebra, full_nil_set
+from regalg.core import DimensionMismatchError, RegularSubalgebra, full_nil_set
 
 RANK_TRIALS = 3
 RANK_VALUE_BOUND = 2**31
@@ -39,6 +41,35 @@ def positions(rows) -> list[tuple[int, int]]:
 def indices(mask: int) -> list[int]:
     """Set coordinates of a support, 1-based, in increasing order."""
     return [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
+
+
+def _check_support(x: tuple[int, ...], v: int) -> None:
+    if v >> len(x):
+        raise DimensionMismatchError(f"support {v:#b} is wider than n={len(x)}")
+
+
+def col_action(x: tuple[int, ...], v: int) -> int:
+    """Left action of a pattern on a column support: output i set iff row i
+    meets v.  With the full support it is the set of nonempty rows, the
+    pattern oracle for CartanRecord.adj_col_dim."""
+    _check_support(x, v)
+    mask = 0
+    for idx, row in enumerate(x):
+        if row & v:
+            mask |= 1 << idx
+    return mask
+
+
+def row_action(v: int, x: tuple[int, ...]) -> int:
+    """Right action of a pattern on a row support: output j set iff column j
+    meets v.  With the full support it is the set of nonempty columns, the
+    pattern oracle for CartanRecord.adj_row_dim."""
+    _check_support(x, v)
+    out = 0
+    for idx, row in enumerate(x):
+        if v >> idx & 1:
+            out |= row
+    return out
 
 
 def _echelonize(m: list[list[Fraction]]) -> int:

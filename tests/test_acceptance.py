@@ -20,10 +20,12 @@ from regalg.families import (
     enum_all_nilpotent_oracle,
     make_drc,
 )
-from regalg.starcalc import bool_mul, derived_series_dims
+from regalg.core import parse_descriptor
+from regalg.starcalc import bool_mul, derived_series_dims, min_rank
 from regalg.verify import SUITES
 
 import bruteforce
+from wide_spans import WIDE_SPAN_G12, WIDE_SPAN_G18
 
 
 @contextmanager
@@ -235,3 +237,10 @@ def test_c12_kernel_properties():
         invariance = check("kernels", "kernel-signature-invariance", 4)
         assert invariance.passed, invariance.details
         assert time.perf_counter() - t0 < 30.0
+
+
+def test_c13_min_rank_at_the_descriptor_bound():
+    with criterion(13, 10.0, "minimum rank of wide diagonal spans at n=20, the descriptor bound"):
+        # g = 18, close to n, and g = 12, the slowest g measured at n = 20
+        for descriptor, expected in (WIDE_SPAN_G18, WIDE_SPAN_G12):
+            assert min_rank(parse_descriptor(descriptor)) == expected

@@ -9,6 +9,8 @@ import pytest
 
 from regalg.cli import main
 
+from wide_spans import WIDE_SPAN_G18
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -91,6 +93,12 @@ class TestInvariants:
         assert code == 0
         assert report["signature"]["minRank"] == 1
         assert report["signature"]["maxRank"] == 1
+
+    def test_wide_span_at_the_descriptor_bound(self, capsys):
+        descriptor, min_rank = WIDE_SPAN_G18
+        code, report, err = run_json(capsys, "invariants", descriptor)
+        assert code == 0 and err == ""
+        assert report["signature"]["minRank"] == min_rank
 
     def test_parse_error_exit(self, capsys):
         code, _, err = run(capsys, "invariants", "n=3; nil=(1,2; cartan=")

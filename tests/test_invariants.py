@@ -15,6 +15,7 @@ from regalg.core import (
 from regalg.conjugacy import permute_subalgebra
 from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
 from regalg.invariants import (
+    cartan_record,
     root_vectors_in_span,
     separate,
     signature,
@@ -75,6 +76,13 @@ class TestRootVectors:
             (1, 0, -1, 0),
             (0, 1, -1, 0),
         )
+
+
+class TestCartanRecord:
+    @pytest.mark.parametrize("p, q", [(0, 2), (2, 2), (3, 2), (1, 5)])
+    def test_rejects_pairs_out_of_range(self, p, q):
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            cartan_record(RegularSubalgebra(4, full_nil_set(4)), p, q)
 
 
 class TestSeparate:

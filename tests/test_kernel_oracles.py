@@ -1,8 +1,9 @@
 """The exact kernels against their brute-force references: the integer
-row reduction by Fraction elimination, generic rank by term rank, root
-vectors by one annihilator, minimum rank by the column matroid's
-hyperplanes, and the pruned witness search by the full n! scan; and the
-soundness of signatures and verdicts under relabeling."""
+row reduction by Fraction elimination, generic rank by term rank, the
+closed-form Cartan records by the adjoint pattern, root vectors by one
+annihilator, minimum rank by the column matroid's hyperplanes, and the
+pruned witness search by the full n! scan; and the soundness of
+signatures and verdicts under relabeling."""
 
 from itertools import combinations
 
@@ -19,9 +20,9 @@ from regalg.conjugacy import (
     maps_onto,
     permute_subalgebra,
 )
-from regalg.core import RegularSubalgebra, full_nil_set
+from regalg.core import RegularSubalgebra, full_nil_set, h_pq_vector
 from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
-from regalg.invariants import root_vectors_in_span, signature
+from regalg.invariants import CartanRecord, cartan_record, root_vectors_in_span, signature
 from regalg.starcalc import adjoint_image_pattern, generic_max_rank, min_rank
 
 import bruteforce
@@ -129,6 +130,33 @@ def test_generic_rank_is_the_instantiation_rank(algebra):
     assert_generic_ranks_match(algebra)
 
 
+@st.composite
+def nil_patterns(draw, max_n):
+    """Any set of strictly upper positions, closed or not, with no Cartan
+    part."""
+    n = draw(st.integers(2, max_n))
+    return RegularSubalgebra(n, draw(st.sets(st.sampled_from(sorted(full_nil_set(n))))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nil_patterns(max_n=9))
+# (2, 3) is a nil position, and a matching through it (3 edges) beats
+# every matching that avoids it (2 edges)
+@example(RegularSubalgebra(4, {(1, 2), (2, 3), (3, 4)}))
+def test_cartan_record_is_that_of_the_adjoint_pattern(algebra):
+    n = algebra.n
+    full = (1 << n) - 1
+    for p, q in combinations(range(1, n + 1), 2):
+        pattern = adjoint_image_pattern(h_pq_vector(n, p, q), algebra)
+        record = cartan_record(algebra, p, q)
+        assert record == CartanRecord(
+            adj_col_dim=bruteforce.col_action(pattern, full).bit_count(),
+            adj_row_dim=bruteforce.row_action(full, pattern).bit_count(),
+            adj_max_rank=generic_max_rank(pattern),
+        ), (p, q)
+        assert record.adj_max_rank == bruteforce.instantiation_rank(pattern), (p, q)
+
+
 @settings(max_examples=150, deadline=None)
 @given(closed_algebras(max_n=9))
 def test_root_vectors_match_pairwise_membership(algebra):
@@ -161,6 +189,59 @@ def test_min_rank_is_the_min_support(gens):
 def test_min_rank_is_the_min_support_past_two_rows(gens):
     """n = 8..10 with up to four generators: up to two contractions before
     the two-row count, which spans of n <= 7 seldom need."""
+    algebra = RegularSubalgebra(len(gens[0]), frozenset(), gens)
+    assert min_rank(algebra) == bruteforce.min_support(algebra)
+
+
+@st.composite
+def wide_spans(draw):
+    """Generators of a span drawn as g > n/2 rows, column by column: g
+    columns of new entries in [-2, 2], each other column but the last zero
+    or a multiple of an earlier one, and a last column that makes every row
+    traceless.  Draws whose rows are dependent are rejected."""
+    n = draw(st.integers(3, 9))
+    g = draw(st.integers(n // 2 + 1, n - 1))
+    kinds = draw(st.permutations(["new"] * g + draw(st.lists(
+        st.sampled_from(["zero", "parallel"]), min_size=n - 1 - g, max_size=n - 1 - g))))
+    columns: list[list[int]] = []
+    for kind in kinds:
+        if kind == "zero":
+            columns.append([0] * g)
+        elif kind == "parallel" and columns:
+            scale = draw(st.sampled_from([1, -1, 2, -3]))
+            columns.append([scale * x for x in draw(st.sampled_from(columns))])
+        else:
+            columns.append(draw(st.lists(st.integers(-2, 2), min_size=g, max_size=g)))
+    columns.append([-sum(row) for row in zip(*columns)])
+    rows = [list(row) for row in zip(*columns)]
+    assume(bruteforce.rank(rows) == g)
+    return rows
+
+
+# The largest hyperplane is columns 2 to 5, four columns in one plane.  It
+# lacks column 1, which the search contracts by first, and that contraction
+# finds no hyperplane of more than g - 1 = 2 columns; the answer 3, not 5,
+# comes from the first basis (2, 3) of the plane.
+FIRST_BASIS_LATER = [[0, 1, 0, 1, 1, 1, -4], [0, 0, 1, 1, -1, 2, -3], [1, 0, 0, 0, 0, 1, -2]]
+
+
+# The only hyperplane of g = 3 columns is the last three: the bound at
+# column 4 of the first node is exactly 3, one above the g - 1 = 2 found
+# before it, so a node must go on while its bound exceeds best.
+LAST_COLUMNS_PLANE = [[0, 1, 2, 1, 0, -4], [0, 2, 1, 0, 1, -4], [1, 1, -2, 0, 0, 0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_spans())
+@example(FIRST_BASIS_LATER)
+@example(LAST_COLUMNS_PLANE)
+# the same with a zero column in front: it lies in every hyperplane, and
+# only the count of zero columns seen before a pivot keeps it in both the
+# bound and the child's base
+@example([[0, *row] for row in LAST_COLUMNS_PLANE])
+def test_min_rank_is_the_min_support_of_wide_spans(gens):
+    """g > n/2 with zero, repeated and parallel columns: the base count of
+    columns already in the closure, and the bound that stops a node."""
     algebra = RegularSubalgebra(len(gens[0]), frozenset(), gens)
     assert min_rank(algebra) == bruteforce.min_support(algebra)
 

@@ -18,17 +18,15 @@ from regalg.starcalc import (
     action_dim_seq,
     adjoint_image_pattern,
     bool_mul,
-    col_action,
     commutator_pattern,
     derived_series_dims,
     generic_max_rank,
     min_rank,
-    row_action,
 )
 from regalg.invariants import signature
 
 import bruteforce
-from bruteforce import indices, pattern, positions
+from bruteforce import col_action, indices, pattern, positions, row_action
 
 
 def patterns(n):
