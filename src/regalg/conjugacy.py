@@ -14,11 +14,12 @@ symmetric group, and a complete search that finds no witness proves the
 pair distinct.
 
 The search runs depth first in lexicographic order, cutting a partial
-assignment only when the nil relation, the nil degrees or the linear
-relations among the Cartan columns already rule out every completion, so
-the witness found is the lexicographically first one.  Signatures are
-conjugation invariants: they reject most distinct pairs before any
-search and name the field that separates them.
+assignment only when the nil relation, the nil degrees or a dot product
+of the re-verification maps_onto, all of whose coordinates are already
+assigned, rules out every completion, so the witness found is the
+lexicographically first one.  Signatures are conjugation invariants:
+they reject most distinct pairs before any search and name the field
+that separates them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import linalg
 from .core import DimensionMismatchError, RegularSubalgebra, _reach
 from .families import DIM2_KINDS, FamilyLabel
 from .invariants import InvariantSignature, separate, signature
@@ -132,23 +132,6 @@ def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
     return True
 
 
-def _column_relations(null, n: int) -> list[tuple[int, tuple[tuple[int, int], ...]] | None]:
-    """For each column k of a generator matrix with annihilator `null`: None
-    when it is independent of columns 0..k-1, else (d, ((p, m_p), ...)) with
-    d * column k equal to the integer combination of the earlier independent
-    columns p.
-
-    The pivot columns of the RREF are the greedy basis of the column space.
-    The annihilator holds one null vector a per free column k, nonzero only
-    at k and at pivots before it, so a_k * column k = sum of -a_p * column p.
-    """
-    out = [None] * n
-    for a in null:
-        k = max(c for c, x in enumerate(a) if x)
-        out[k] = (a[k], tuple((p, -x) for p, x in enumerate(a[:k]) if x))
-    return out
-
-
 def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
     """Lexicographically first permutation mapping a onto b, or None.
 
@@ -161,35 +144,35 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
     - the nil relation: for every assigned i < k, (i, k) and (k, i) are nil
       positions of a iff (sigma i, sigma k) and (sigma k, sigma i) are nil
       positions of b;
-    - the Cartan columns: the spans agree iff the generator matrices have
-      the same null space once b's columns are taken in the order sigma,
-      and relations supported on a prefix must then agree as well.  So a
-      column of a that is an integer combination of its earlier independent
-      columns needs b's column at the target to be the same combination of
-      the corresponding targets, and an independent column needs an
-      independent target column.
+    - the Cartan span: each row alpha of a.cartan_null belongs to one free
+      column f of the reduced generators, and is nonzero only at f and at
+      the pivots before f, so its last nonzero coordinate is f.  Once
+      sigma(f) is assigned, every generator w of b must pass the check
+      maps_onto makes for alpha: sum over p of alpha_p * w[sigma(p)] = 0.
 
     With equal nil counts, a full assignment maps the nil set of a exactly
-    onto that of b, and the column relations of all n columns agree, i.e.
-    the spans are equal.  Only branches without a witness are cut, so the
-    first leaf reached is the first witness of the lexicographic scan over
-    all n! permutations.
+    onto that of b, and every pulled-back generator of b is orthogonal to
+    every row of a.cartan_null, hence lies in span(a); the generator counts
+    are equal, so the spans are (the proof of maps_onto).  Every cut branch
+    fails a check that every completion would fail too, so no witness is
+    cut, and the first leaf reached is the first witness of the
+    lexicographic scan over all n! permutations.
     """
     n = a.n
     if len(a.cartan_gens) != len(b.cartan_gens) or len(a.nil_set) != len(b.nil_set):
         return None
     a_out, b_out = a.nil_rows, b.nil_rows
     a_in, b_in = a.nil_cols, b.nil_cols
-    b_cols = list(zip(*b.cartan_gens)) or [()] * n
     a_colour = [(a_out[i].bit_count(), a_in[i].bit_count(), a.cartan_support >> i & 1) for i in range(n)]
     b_colour = [(b_out[t].bit_count(), b_in[t].bit_count(), b.cartan_support >> t & 1) for t in range(n)]
     if sorted(a_colour) != sorted(b_colour):
         return None
     candidates = [[t for t in range(n) if b_colour[t] == a_colour[k]] for k in range(n)]
-    relations = _column_relations(a.cartan_null, n)
+    ending: list[tuple[int, ...] | None] = [None] * n  # the row of a.cartan_null that ends at k
+    for row in a.cartan_null:
+        ending[max(k for k, x in enumerate(row) if x)] = row
     sigma = [0] * n
     sigma_bit = [0] * n  # 1 << sigma[k]
-    basis: list[tuple[int, list[int]]] = []  # b's columns at independent targets, reduced
 
     def extend(k: int, used: int) -> bool:
         if k == n:
@@ -197,29 +180,17 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
         prefix = (1 << k) - 1
         want_out = _reach(sigma_bit, a_out[k] & prefix)
         want_in = _reach(sigma_bit, a_in[k] & prefix)
-        relation = relations[k]
-        if relation is not None:
-            d, coeffs = relation
-            want_col = [sum(m * b_cols[sigma[p]][r] for p, m in coeffs)
-                        for r in range(len(a.cartan_gens))]
+        row = ending[k]
+        if row is not None:
+            head = [sum(x * w[s] for x, s in zip(row, sigma[:k])) for w in b.cartan_gens]
         for t in candidates[k]:
             if used >> t & 1 or b_out[t] & used != want_out or b_in[t] & used != want_in:
                 continue
+            if row is not None and any(row[k] * w[t] + h for w, h in zip(b.cartan_gens, head)):
+                continue
             sigma[k], sigma_bit[k] = t, 1 << t
-            if relation is not None:
-                if [d * x for x in b_cols[t]] == want_col and extend(k + 1, used | 1 << t):
-                    return True
-                continue
-            v = list(b_cols[t])
-            for piv, row in basis:
-                if v[piv]:
-                    v = linalg._eliminate(v, row, piv)
-            if not any(v):
-                continue
-            basis.append((next(r for r, x in enumerate(v) if x), v))
             if extend(k + 1, used | 1 << t):
                 return True
-            basis.pop()
         return False
 
     if not extend(0, 0):

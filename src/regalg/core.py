@@ -159,12 +159,12 @@ class RegularSubalgebra:
                 raise ValueError(f"cartan generator {v} has length {len(v)}, expected {self.n}")
             if sum(v) != 0:
                 raise ValueError(f"cartan generator {v} is not traceless")
-        basis = linalg.rref_primitive(self.cartan_gens) if self.cartan_gens else ()
-        if len(basis) != len(self.cartan_gens):
+        null = linalg.annihilator(self.cartan_gens, self.n)
+        if len(null) != self.n - len(self.cartan_gens):
             raise ValueError("cartan generators are linearly dependent")
         object.__setattr__(self, "nil_rows", tuple(rows))
         object.__setattr__(self, "nil_cols", tuple(cols))
-        object.__setattr__(self, "cartan_null", linalg.annihilator(basis, self.n))
+        object.__setattr__(self, "cartan_null", null)
         object.__setattr__(self, "cartan_support", sum(
             1 << k for k, column in enumerate(zip(*self.cartan_gens)) if any(column)))
 

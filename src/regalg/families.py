@@ -314,14 +314,14 @@ def make_drc(n: int, kind: str, index: int, k: int) -> RegularSubalgebra:
     return algebra
 
 
-def drc_valid_indices(n: int, kind: str, k: int) -> range:
+def drc_valid_indices(n: int, k: int) -> range:
     return range(1, n - k + 1)
 
 
 def enum_drc(n: int, k: int) -> list[Member]:
     out: list[Member] = []
     for kind in ("D", "R", "C"):
-        for index in drc_valid_indices(n, kind, k):
+        for index in drc_valid_indices(n, k):
             out.append((FamilyLabel(kind, (index,), n, k=k), make_drc(n, kind, index, k)))
     return out
 

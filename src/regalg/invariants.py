@@ -11,8 +11,8 @@ from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .core import RegularSubalgebra, h_pq_vector, require_closed
-from .starcalc import action_dim_seq, derived_series_dims, generic_max_rank, min_rank
+from .core import RegularSubalgebra, require_closed
+from .starcalc import action_dim_seq, derived_series_dims, generic_max_rank, min_rank, root_classes
 
 
 def _camel(attr: str) -> str:
@@ -87,24 +87,12 @@ FIELD_ORDER = tuple((f.name, _camel(f.name)) for f in fields(InvariantSignature)
 
 def _root_pairs(algebra: RegularSubalgebra) -> list[tuple[int, int]]:
     """The pairs (p, q), 1 <= p < q <= n, in increasing order, with e_p - e_q
-    in the diagonal span.  The span is the orthogonal complement of its
-    annihilator, so e_p - e_q lies in it iff a_p = a_q for every
-    annihilator basis vector a, that is iff annihilator columns p and q are
-    equal."""
-    groups: dict[tuple[int, ...], list[int]] = {}  # annihilator column -> its coordinates
-    for k, column in enumerate(zip(*algebra.cartan_null), start=1):
-        groups.setdefault(column, []).append(k)
-    return sorted(pair for group in groups.values() for pair in combinations(group, 2))
-
-
-def root_vectors_in_span(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], ...]:
-    """Two-entry diagonal vectors e_p - e_q (p < q) lying in the diagonal
-    span.  Simultaneous relabeling by sigma maps this set onto the set of
-    the image span (up to irrelevant sign), which makes any multiset built
-    over it an exact monomial-conjugation invariant; an RREF basis has no
-    such equivariance because row reduction is coordinate-order sensitive.
-    """
-    return tuple(h_pq_vector(algebra.n, p, q) for p, q in _root_pairs(algebra))
+    in the diagonal span: the pairs within one root class.  Simultaneous
+    relabeling by sigma maps the root vectors of a span onto those of the
+    image span (up to irrelevant sign), which makes any multiset built over
+    them an exact monomial-conjugation invariant; an RREF basis has no such
+    equivariance because row reduction is coordinate-order sensitive."""
+    return sorted(pair for c in root_classes(algebra) for pair in combinations(c, 2))
 
 
 def _two_centres(x: int, y: int) -> int:

@@ -43,16 +43,19 @@ def rref_primitive(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in reduced)
 
 
-def annihilator(reduced, n: int) -> tuple[tuple[int, ...], ...]:
-    """Primitive integer basis of {a in Q^n : r . a = 0 for every row r},
-    given the canonical basis `reduced` (rref_primitive) of the rows.
+def annihilator(rows, n: int) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer basis of {a in Q^n : r . a = 0 for every row r}
+    for integer rows of length n.
 
-    One basis vector per free column f of the RREF: a_f = L and
-    a_p = -row[f] * L / row[p] at each pivot p, with L the lcm of the
-    pivots, then scaled to be primitive with positive leading entry.  The
-    row span is exactly the set of vectors orthogonal to every basis vector,
-    so membership in it is a set of integer dot products.
+    One basis vector per free column f of the RREF (rref_primitive) of the
+    rows: a_f = L and a_p = -row[f] * L / row[p] at each pivot p, with L
+    the lcm of the pivots, then scaled to be primitive with positive
+    leading entry.  A reduced row is zero before its pivot, so a is zero
+    at the pivots after f, and f is its last nonzero coordinate.  The row
+    span is exactly the set of vectors orthogonal to every basis vector, so
+    membership in it is a set of integer dot products.
     """
+    reduced = rref_primitive(rows)
     pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
     scale = lcm(*(row[p] for row, p in zip(reduced, pivots)))
     out = []

@@ -131,13 +131,24 @@ def generic_max_rank(algebra_or_pattern) -> int:
     return matched
 
 
+def root_classes(algebra: RegularSubalgebra) -> list[list[int]]:
+    """The coordinates 1..n grouped by equal annihilator column, each class
+    in increasing order.  The diagonal span is the orthogonal complement of
+    its annihilator, so e_p - e_q lies in it iff a_p = a_q for every
+    annihilator basis vector a, that is iff p and q share a class."""
+    classes: dict[tuple[int, ...], list[int]] = {}  # annihilator column -> its coordinates
+    for k, column in enumerate(zip(*algebra.cartan_null), start=1):
+        classes.setdefault(column, []).append(k)
+    return list(classes.values())
+
+
 def min_rank(algebra: RegularSubalgebra) -> int:
     """Smallest rank of a nonzero element.
 
     Any single matrix unit has rank 1, so a nonempty nil set settles it.
     For a diagonal span the rank of an element is its number of nonzero
     entries, and a multiple of some e_p - e_q (rank 2) lies in the span iff
-    annihilator columns p and q are equal.  Otherwise the answer is n minus
+    p and q share a root class.  Otherwise the answer is n minus
     the size of the largest hyperplane of the column matroid of the g x n
     generator matrix G.
 
@@ -192,7 +203,7 @@ def min_rank(algebra: RegularSubalgebra) -> int:
     if algebra.nil_set:
         return 1
     n = algebra.n
-    if len(set(zip(*algebra.cartan_null))) < n:
+    if any(len(c) > 1 for c in root_classes(algebra)):
         return 2
     best = len(algebra.cartan_gens) - 1
 

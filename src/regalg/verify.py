@@ -238,7 +238,7 @@ def drc(n: int, ks: Sequence[int] = DRC_KS) -> Iterator[Check]:
     table_warnings = []
     table_ok = True
     for k in ks:
-        for index in drc_valid_indices(n, "D", k):
+        for index in drc_valid_indices(n, k):
             values = {kind: drc_commutator_codim(n, kind, index, k) for kind in "DRC"}
             refs = {kind: drc_reference_codim(n, kind, index, k) for kind in "DRC"}
             if not values["R"] == values["C"] == refs["R"] == refs["C"]:
@@ -266,7 +266,7 @@ def drc(n: int, ks: Sequence[int] = DRC_KS) -> Iterator[Check]:
     class_ok = True
     ambiguity = []
     for k in class_ks:
-        for index in drc_valid_indices(n, "D", k):
+        for index in drc_valid_indices(n, k):
             d, r, c = (make_drc(n, kind, index, k) for kind in "DRC")
             v_rc = decide(r, c)
             if k == 2:

@@ -163,7 +163,7 @@ def test_c10_drc_commutator_table():
         for n in (6, 7):
             for k in (1, 2, 3):
                 for kind in ("D", "R", "C"):
-                    for index in drc_valid_indices(n, kind, k):
+                    for index in drc_valid_indices(n, k):
                         cells.append((n, kind, index, k))
         t0 = time.perf_counter()
         computed = {cell: drc_commutator_codim(*cell) for cell in cells}
@@ -207,7 +207,7 @@ def test_c11_drc_classification():
             # cyclic relabeling is a witness (re-verified by the engine), so
             # they are conjugate and the published "not pairwise conjugate"
             # claim fails for them
-            assert len(classes.warnings) == len(drc_valid_indices(n, "D", 3))
+            assert len(classes.warnings) == len(drc_valid_indices(n, 3))
             assert all(": CONJUGATE witness " in w for w in classes.warnings)
         print(
             "  flagged: row/column segment removals are conjugate at k=3 "

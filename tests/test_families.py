@@ -198,7 +198,7 @@ class TestDrcCommutator:
         for n in (5, 6):
             for k in (1, 2, 3):
                 for kind in ("D", "R", "C"):
-                    for index in drc_valid_indices(n, kind, k):
+                    for index in drc_valid_indices(n, k):
                         algebra = make_drc(n, kind, index, k)
                         script_e = n * (n - 1) // 2 - (n - 1)
                         want = script_e - bruteforce.brute_commutator_dim(algebra)

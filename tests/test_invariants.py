@@ -10,16 +10,20 @@ from regalg.core import (
     RegularSubalgebra,
     full_cartan,
     full_nil_set,
+    h_pq_vector,
     h_vector,
 )
 from regalg.conjugacy import permute_subalgebra
 from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
 from regalg.invariants import (
+    _root_pairs,
     cartan_record,
-    root_vectors_in_span,
     separate,
     signature,
 )
+from regalg.starcalc import root_classes
+
+import bruteforce
 
 
 def codim1_by_text(n):
@@ -60,22 +64,33 @@ class TestSignature:
             assert all(a >= b for a, b in zip(dims[1:], dims[2:]))
 
 
+def root_vectors(algebra):
+    """The root pairs of the diagonal span as vectors e_p - e_q."""
+    return tuple(h_pq_vector(algebra.n, p, q) for p, q in _root_pairs(algebra))
+
+
 class TestRootVectors:
     def test_full_cartan_has_all_pairs(self):
         algebra = RegularSubalgebra(4, full_nil_set(4), full_cartan(4))
-        assert len(root_vectors_in_span(algebra)) == 6
+        assert root_classes(algebra) == [[1, 2, 3, 4]]
+        assert len(root_vectors(algebra)) == 6
+        assert root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
 
     def test_partial_sum_span(self):
         algebra = RegularSubalgebra(4, full_nil_set(4), (h_vector(4, 1), h_vector(4, 3)))
-        assert root_vectors_in_span(algebra) == ((1, -1, 0, 0), (0, 0, 1, -1))
+        assert root_classes(algebra) == [[1, 2], [3, 4]]
+        assert root_vectors(algebra) == ((1, -1, 0, 0), (0, 0, 1, -1))
+        assert root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
 
     def test_adjacent_pair_span_gains_combination(self):
         algebra = RegularSubalgebra(4, frozenset(), (h_vector(4, 1), h_vector(4, 2)))
-        assert root_vectors_in_span(algebra) == (
+        assert root_classes(algebra) == [[1, 2, 3], [4]]
+        assert root_vectors(algebra) == (
             (1, -1, 0, 0),
             (1, 0, -1, 0),
             (0, 1, -1, 0),
         )
+        assert root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
 
 
 class TestCartanRecord:
