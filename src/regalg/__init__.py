@@ -26,10 +26,9 @@ from .conjugacy import (
     ConjugacyVerdict,
     classify_family,
     decide,
-    recipe_witness,
     permute_subalgebra,
 )
-from .families import FamilyLabel, enum_codim1, enum_codim2, enum_dim2, make_drc
+from .families import FamilyLabel, enum_codim1, enum_codim2, enum_dim2, make_drc, recipe_witness
 from .invariants import InvariantSignature, separate, signature
 
 __all__ = [

@@ -157,7 +157,7 @@ def cmd_enumerate(args) -> int:
         "rows": [_member_row(lab, alg) for lab, alg in members],
     }
     if args.family == "dim2":
-        report["familyCounts"] = dim2_count_audit(args.n)
+        report["familyCounts"] = dim2_count_audit(args.n, members)
     _emit(render(report, args.format), args.out)
     return 0
 
@@ -196,7 +196,7 @@ def cmd_classify(args) -> int:
     _check_n(args.n)
     members = _family_members(args.family, args.n, args.k, args.kind, args.index)
     part = classify_family([alg for _, alg in members])
-    label_by_desc = {alg.descriptor(): lab.text() for lab, alg in members}
+    descs = [alg.descriptor() for _, alg in members]
     pj = part.to_json()
     report = {
         "command": "classify",
@@ -207,9 +207,9 @@ def cmd_classify(args) -> int:
         "unresolvedCount": 0,
         "partition": pj,
         "rows": [
-            {"class": idx, "label": label_by_desc[d], "descriptor": d}
-            for idx, cls in enumerate(pj["classes"])
-            for d in cls
+            {"class": idx, "label": members[i][0].text(), "descriptor": descs[i]}
+            for idx, cls in enumerate(part.sorted_classes(descs))
+            for i in cls
         ],
     }
     _emit(render(report, args.format), args.out)

@@ -28,17 +28,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import DimensionMismatchError, RegularSubalgebra, _reach
-from .families import DIM2_KINDS, FamilyLabel
 from .invariants import InvariantSignature, separate, signature
 
 PERM_SEARCH_MAX_N = 8
 NO_WITNESS = "noPermutationWitness"  # separator of equal signatures with no witness
 
 Perm = tuple[int, ...]  # sigma[i-1] is the image of i, values 1..n
-
-
-class RecipeError(ValueError):
-    """The requested pair is not covered by any explicit witness recipe."""
 
 
 def identity_perm(n: int) -> Perm:
@@ -54,22 +49,6 @@ def invert_perm(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, image in enumerate(p):
         out[image - 1] = i + 1
-    return tuple(out)
-
-
-def perm_from_partial(n: int, mapping: dict[int, int]) -> Perm:
-    """Extend an injective partial map on {1..n} to a permutation, sending
-    the remaining sources to the remaining targets in increasing order."""
-    targets = set(mapping.values())
-    if len(targets) != len(mapping):
-        raise ValueError(f"partial map is not injective: {mapping}")
-    for x in list(mapping) + list(targets):
-        if not 1 <= x <= n:
-            raise ValueError(f"index {x} out of range for n={n}")
-    free_targets = iter(sorted(set(range(1, n + 1)) - targets))
-    out = []
-    for i in range(1, n + 1):
-        out.append(mapping[i] if i in mapping else next(free_targets))
     return tuple(out)
 
 
@@ -256,10 +235,17 @@ class ClassPartition:
     witness_edges: tuple[tuple[int, int, Perm], ...]
     separators: tuple[tuple[int, int, str], ...]
 
+    def sorted_classes(self, descs: list[str]) -> list[list[int]]:
+        """The classes in report order, given each member's descriptor:
+        members by (descriptor, index), classes by their members'
+        descriptors."""
+        ordered = [sorted(cls, key=lambda i: (descs[i], i)) for cls in self.classes]
+        return sorted(ordered, key=lambda cls: [descs[i] for i in cls])
+
     def to_json(self):
         descs = [m.descriptor() for m in self.members]
         pair_key = lambda e: (e["a"], e["b"])  # noqa: E731
-        classes = sorted(sorted(descs[i] for i in cls) for cls in self.classes)
+        classes = [[descs[i] for i in cls] for cls in self.sorted_classes(descs)]
         witnesses = sorted(
             [{"a": descs[i], "b": descs[j], "sigma": list(sigma)}
              for i, j, sigma in self.witness_edges],
@@ -332,76 +318,3 @@ def classify_family(members) -> ClassPartition:
         for c, d in combinations(range(len(classes)), 2)
     )
     return ClassPartition(members, classes, tuple(edges), separators)
-
-
-# ── explicit witness recipes ────────────────────────────────────────────
-#
-# Each recipe realises the index correspondence of the published
-# transposition products directly as a permutation: the t-th anchor of
-# one label goes to the t-th anchor of the other, and the rest is
-# completed to a bijection.  Composing the printed transpositions
-# literally breaks down when their index pairs collide, so the
-# correspondence form is used for every recipe and the caller verifies the
-# result like any other candidate witness.
-
-
-def _recipe_group(label: FamilyLabel):
-    """The labels one recipe connects: a two-dimensional family, the
-    codimension-two nil triple around the i-th superdiagonal (unit pair,
-    row pair, column pair removals), or the row and column segments at
-    (i, k).  None when no recipe covers the label."""
-    kind, idx = label.kind, label.indices
-    if kind in DIM2_KINDS:
-        return kind
-    if kind in ("NR", "NC") or (kind == "N" and idx[1] == idx[0] + 1):
-        return ("triple", idx[0])
-    if kind in ("R", "C"):
-        return ("segment", idx[0], label.k)
-    return None
-
-
-def _anchors(label: FamilyLabel) -> tuple[int, ...]:
-    """Coordinates in the order the recipes match them up.  For B2/B3 the
-    row of the unit comes first, then its partner in {k, k+1}; B4 does the
-    same for the column.  B3 and C2 repeat a coordinate, always at the
-    same position, so it keeps one target."""
-    kind, idx = label.kind, label.indices
-    if kind in ("A1", "A2", "A3"):
-        return idx
-    if kind == "B1":
-        i, j, k = idx
-        return (i, j, k, k + 1)
-    if kind in ("B2", "B3"):
-        i, j, k = idx
-        return (i, 2 * k + 1 - i, j)
-    if kind == "B4":
-        i, j, k = idx
-        return (j, 2 * k + 1 - j, i)
-    if kind in ("C1", "C2"):
-        k, l = idx
-        return (k, k + 1, l, l + 1)
-    i = idx[0]
-    if kind == "N":
-        return (i, i + 1, i + 2)
-    if kind == "NR":
-        return (i + 1, i, i + 2)
-    if kind == "NC":
-        return (i, i + 2, i + 1)
-    if kind == "C":
-        return tuple(range(i, i + label.k + 1))
-    return (*range(i + 1, i + label.k + 1), i)  # R
-
-
-def recipe_witness(a: FamilyLabel, b: FamilyLabel) -> Perm:
-    """Permutation from the explicit recipe covering this pair:
-    intra-family two-dimensional pairs, the codimension-two nil triples, and
-    the column-to-row segment conjugation.  The caller verifies the result
-    via permute_subalgebra."""
-    if a.n != b.n:
-        raise DimensionMismatchError(f"labels have n={a.n} and n={b.n}")
-    if a == b:
-        return identity_perm(a.n)
-    group = _recipe_group(a)
-    if group is None or group != _recipe_group(b):
-        raise RecipeError(f"no recipe covers the pair {a.text()} / {b.text()}")
-    return perm_from_partial(a.n, dict(zip(_anchors(a), _anchors(b))))

@@ -267,7 +267,7 @@ def dimension_bound(algebra: RegularSubalgebra, missing: tuple[int, int]) -> int
 # where Hk is e_k - e_{k+1}, H[p,q] is e_p - e_q, and diag(a,b,...) is an
 # explicit traceless integer vector.
 
-# largest n parse_descriptor admits by default: min_rank (the minimum
+# largest n parse_descriptor admits: min_rank (the minimum
 # distance of a code, NP-hard) is slowest when the span has about n/2
 # generators; over three random spans per g at n = 20 (entries in
 # [-3, 3]), its worst measured case is about 1 s, at g = 11 and 12, and
@@ -278,13 +278,12 @@ _NIL_PAIR = re.compile(r"\((\d+),(\d+)\)")
 _CARTAN_TOKEN = re.compile(r"H(\d+)|H\[(\d+),(\d+)\]|diag\(((?:-?\d+,)*-?\d+)\)")
 
 
-def parse_descriptor(text: str, max_n: int | None = DESCRIPTOR_MAX_N) -> RegularSubalgebra:
+def parse_descriptor(text: str) -> RegularSubalgebra:
     """Parse the subalgebra text format accepted by every CLI command.
 
     Segments are read in one pass over the whitespace-free text; an error
-    reports its offset in the original text.  An n above max_n is rejected
-    before any length-n vector is built; max_n=None admits every n, at an
-    O(n^2) construction cost."""
+    reports its offset in the original text.  An n above DESCRIPTOR_MAX_N
+    is rejected before any length-n vector is built."""
     posmap = [idx for idx, ch in enumerate(text) if not ch.isspace()]
     condensed = "".join(text[idx] for idx in posmap)
 
@@ -317,8 +316,8 @@ def parse_descriptor(text: str, max_n: int | None = DESCRIPTOR_MAX_N) -> Regular
             if not value.isdecimal():
                 raise err("n must be a positive integer", at, value)
             n = number(value, at, value)
-            if max_n is not None and n > max_n:
-                raise err(f"n must be at most {max_n}", at, value)
+            if n > DESCRIPTOR_MAX_N:
+                raise err(f"n must be at most {DESCRIPTOR_MAX_N}", at, value)
         elif key == "nil" and value:
             pos = 0
             while True:

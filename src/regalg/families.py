@@ -4,7 +4,9 @@ The enumerators construct each family member explicitly; the oracles
 rediscover the same sets by brute-force closure scans and are used to
 audit both the constructions and the published closed-form counts.
 Published count formulas are report-only reference values, never the
-enumeration mechanism.
+enumeration mechanism.  The published conjugators between labelled
+members are kept here too, as witness recipes read off the label
+indices; the conjugacy layer re-verifies each one like any other witness.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from itertools import combinations
 
 from .core import (
     Diag,
+    DimensionMismatchError,
     Nil,
     RegularSubalgebra,
     bracket,
@@ -255,10 +258,9 @@ def dim2_formula_count(kind: str, n: int) -> int:
 DIM2_KINDS = ("A1", "A2", "A3", "B1", "B2", "B3", "B4", "C1", "C2")
 
 
-def dim2_count_audit(n: int) -> list[dict]:
-    """Exhaustive per-family counts next to the published formulas; a
-    mismatch is flagged, not hidden."""
-    members = enum_dim2(n)
+def dim2_count_audit(n: int, members: list[Member]) -> list[dict]:
+    """Exhaustive per-family counts of the labelled members enum_dim2(n)
+    next to the published formulas; a mismatch is flagged, not hidden."""
     rows = []
     for kind in DIM2_KINDS:
         exhaustive = sum(1 for label, _ in members if label.kind == kind)
@@ -366,3 +368,96 @@ def drc_reference_codim(n: int, kind: str, index: int, k: int) -> int:
     case = drc_case(n, index, k)
     d_val, r_val, c_val = _DRC_TABLE[case]
     return {"D": d_val, "R": r_val, "C": c_val}[kind](k)
+
+
+# ── explicit witness recipes ────────────────────────────────────────────
+#
+# Each recipe realises the index correspondence of the published
+# transposition products directly as a permutation: the t-th anchor of
+# one label goes to the t-th anchor of the other, and the rest is
+# completed to a bijection.  Composing the printed transpositions
+# literally breaks down when their index pairs collide, so the
+# correspondence form is used for every recipe and the caller verifies the
+# result like any other candidate witness.
+
+
+class RecipeError(ValueError):
+    """The requested pair is not covered by any explicit witness recipe."""
+
+
+def perm_from_partial(n: int, mapping: dict[int, int]) -> tuple[int, ...]:
+    """Extend an injective partial map on {1..n} to a permutation, sending
+    the remaining sources to the remaining targets in increasing order."""
+    targets = set(mapping.values())
+    if len(targets) != len(mapping):
+        raise ValueError(f"partial map is not injective: {mapping}")
+    for x in list(mapping) + list(targets):
+        if not 1 <= x <= n:
+            raise ValueError(f"index {x} out of range for n={n}")
+    free_targets = iter(sorted(set(range(1, n + 1)) - targets))
+    out = []
+    for i in range(1, n + 1):
+        out.append(mapping[i] if i in mapping else next(free_targets))
+    return tuple(out)
+
+
+def _recipe_group(label: FamilyLabel):
+    """The labels one recipe connects: a two-dimensional family, the
+    codimension-two nil triple around the i-th superdiagonal (unit pair,
+    row pair, column pair removals), or the row and column segments at
+    (i, k).  None when no recipe covers the label."""
+    kind, idx = label.kind, label.indices
+    if kind in DIM2_KINDS:
+        return kind
+    if kind in ("NR", "NC") or (kind == "N" and idx[1] == idx[0] + 1):
+        return ("triple", idx[0])
+    if kind in ("R", "C"):
+        return ("segment", idx[0], label.k)
+    return None
+
+
+def _anchors(label: FamilyLabel) -> tuple[int, ...]:
+    """Coordinates in the order the recipes match them up.  For B2/B3 the
+    row of the unit comes first, then its partner in {k, k+1}; B4 does the
+    same for the column.  B3 and C2 repeat a coordinate, always at the
+    same position, so it keeps one target."""
+    kind, idx = label.kind, label.indices
+    if kind in ("A1", "A2", "A3"):
+        return idx
+    if kind == "B1":
+        i, j, k = idx
+        return (i, j, k, k + 1)
+    if kind in ("B2", "B3"):
+        i, j, k = idx
+        return (i, 2 * k + 1 - i, j)
+    if kind == "B4":
+        i, j, k = idx
+        return (j, 2 * k + 1 - j, i)
+    if kind in ("C1", "C2"):
+        k, l = idx
+        return (k, k + 1, l, l + 1)
+    i = idx[0]
+    if kind == "N":
+        return (i, i + 1, i + 2)
+    if kind == "NR":
+        return (i + 1, i, i + 2)
+    if kind == "NC":
+        return (i, i + 2, i + 1)
+    if kind == "C":
+        return tuple(range(i, i + label.k + 1))
+    return (*range(i + 1, i + label.k + 1), i)  # R
+
+
+def recipe_witness(a: FamilyLabel, b: FamilyLabel) -> tuple[int, ...]:
+    """Permutation from the explicit recipe covering this pair:
+    intra-family two-dimensional pairs, the codimension-two nil triples, and
+    the column-to-row segment conjugation.  The caller verifies the result
+    via conjugacy.maps_onto."""
+    if a.n != b.n:
+        raise DimensionMismatchError(f"labels have n={a.n} and n={b.n}")
+    if a == b:
+        return perm_from_partial(a.n, {})
+    group = _recipe_group(a)
+    if group is None or group != _recipe_group(b):
+        raise RecipeError(f"no recipe covers the pair {a.text()} / {b.text()}")
+    return perm_from_partial(a.n, dict(zip(_anchors(a), _anchors(b))))

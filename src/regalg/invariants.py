@@ -149,13 +149,14 @@ def signature(algebra: RegularSubalgebra) -> InvariantSignature:
     require_closed(algebra)
     rows = algebra.nil_rows
     records = tuple(sorted(cartan_record(algebra, p, q) for p, q in _root_pairs(algebra)))
+    support = algebra.cartan_support
     return InvariantSignature(
         dim=algebra.dim,
         nil_dim=algebra.nil_dim,
         derived_dims=tuple(derived_series_dims(rows)),
         col_action_seq=tuple(action_dim_seq(algebra.nil_cols)),
         row_action_seq=tuple(action_dim_seq(rows)),
-        max_rank=generic_max_rank(algebra),
+        max_rank=generic_max_rank(tuple(row | support & 1 << i for i, row in enumerate(rows))),
         min_rank=min_rank(algebra) if algebra.dim else 0,
         cartan_signature=records,
         last_row_cartan_flag=_empty_row_anchored_flag(algebra),

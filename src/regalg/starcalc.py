@@ -26,21 +26,9 @@ def bool_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(_reach(y, row) for row in x)
 
 
-def commutator_pattern(algebra: RegularSubalgebra) -> tuple[int, ...]:
-    """Pattern of the first derived term: nil-nil bracket positions plus
-    every nil position rescaled by some diagonal generator (d_i != d_j),
-    i.e. in the adjoint image of that generator.  The diagonal itself never
-    survives a commutator."""
-    rows = bool_mul(algebra.nil_rows, algebra.nil_rows)
-    for v in algebra.cartan_gens:
-        rows = tuple(r | s for r, s in zip(rows, adjoint_image_pattern(v, algebra)))
-    return rows
-
-
 def derived_series_dims(pattern: tuple[int, ...]) -> list[int]:
     """Sizes of a pattern and of its successive squares, ending at the
-    first 0: the derived series of a nilpotent part from its nil pattern,
-    or of a solvable algebra past its first term from commutator_pattern.
+    first 0: the derived series of a nilpotent part from its nil pattern.
 
     Every pattern here is strictly upper triangular, so the k-th square is
     the 2^k-th power of the first, which is 0 once 2^k >= n.  A repeat
@@ -75,25 +63,11 @@ def action_dim_seq(rows: tuple[int, ...]) -> list[int]:
     return dims
 
 
-def adjoint_image_pattern(h, algebra: RegularSubalgebra) -> tuple[int, ...]:
-    """Pattern of [h, -] restricted to the nilpotent part: a star survives
-    at (i,j) iff (i,j) is a nil position and h_i != h_j."""
-    h = tuple(h)
-    if len(h) != algebra.n:
-        raise DimensionMismatchError(f"vector length {len(h)} != n={algebra.n}")
-    if sum(h) != 0:
-        raise ValueError(f"diagonal vector {h} is not traceless")
-    same: dict[int, int] = {}  # entry value -> bitmask of the coordinates holding it
-    for k, x in enumerate(h):
-        same[x] = same.get(x, 0) | 1 << k
-    return tuple(row & ~same[x] for row, x in zip(algebra.nil_rows, h))
-
-
-def generic_max_rank(algebra_or_pattern) -> int:
-    """Rank of a generic element: the term rank of its support pattern,
-    i.e. a maximum matching between rows and columns over the supported
-    entries (for an algebra: the nil positions plus each diagonal position
-    where some generator is nonzero).
+def generic_max_rank(rows: tuple[int, ...]) -> int:
+    """Rank of a generic element of an algebra from its support pattern:
+    the term rank, i.e. a maximum matching between rows and columns over
+    the supported entries.  signature passes nil_rows with each diagonal
+    position where some generator is nonzero (cartan_support) OR'd in.
 
     This is exact, not a bound.  Expand a k x k minor of the generic element
     as a sum over the matchings of its rows to its columns.  The entries at
@@ -106,11 +80,6 @@ def generic_max_rank(algebra_or_pattern) -> int:
     cancels, and the minor vanishes identically iff it has no perfect
     matching on supported entries.
     """
-    if isinstance(algebra_or_pattern, tuple):
-        rows = algebra_or_pattern
-    else:
-        support = algebra_or_pattern.cartan_support
-        rows = tuple(row | support & 1 << i for i, row in enumerate(algebra_or_pattern.nil_rows))
     owner: dict[int, int] = {}  # matched column bit -> its row
     visited = 0
 

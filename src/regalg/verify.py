@@ -18,7 +18,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
-from .conjugacy import classify_family, decide, maps_onto, permute_subalgebra, recipe_witness
+from .conjugacy import classify_family, decide, maps_onto, permute_subalgebra
 from .core import (
     Diag,
     Nil,
@@ -44,6 +44,7 @@ from .families import (
     enum_dim2,
     enum_drc,
     make_drc,
+    recipe_witness,
 )
 from .invariants import cartan_record, signature
 
@@ -193,7 +194,7 @@ def dim2(n: int) -> Iterator[Check]:
             {alg for _, alg in members} == set(enum_all_dim2_oracle(n)),
             details=f"{len(members)} labelled spans match the bracket-expansion oracle",
         )
-    audit = dim2_count_audit(n)
+    audit = dim2_count_audit(n, members)
     must_match = {"A2", "B3", "C2"}
     hard_ok = all(r["matches"] for r in audit if r["family"] in must_match)
     warnings = [

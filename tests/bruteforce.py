@@ -3,9 +3,10 @@
 Everything here recomputes results through exact rational linear algebra
 (Fraction row reduction, kept apart from the package's integer kernel) on
 explicit bracket expansions, deliberately avoiding the boolean-pattern
-shortcuts of the package under test.  The pattern actions col_action and
-row_action are the direct loops over a pattern's rows that the
-closed-form Cartan records are checked against.
+shortcuts of the package under test.  The adjoint pattern
+adjoint_image_pattern and the pattern actions col_action and row_action
+are the direct loops over a pattern's rows that the closed-form Cartan
+records are checked against.
 """
 
 from __future__ import annotations
@@ -70,6 +71,21 @@ def row_action(v: int, x: tuple[int, ...]) -> int:
         if v >> idx & 1:
             out |= row
     return out
+
+
+def adjoint_image_pattern(h, algebra: RegularSubalgebra) -> tuple[int, ...]:
+    """Pattern of [h, -] restricted to the nilpotent part: a star survives
+    at (i,j) iff (i,j) is a nil position and h_i != h_j.  The pattern
+    oracle for cartan_record."""
+    h = tuple(h)
+    if len(h) != algebra.n:
+        raise DimensionMismatchError(f"vector length {len(h)} != n={algebra.n}")
+    if sum(h) != 0:
+        raise ValueError(f"diagonal vector {h} is not traceless")
+    same: dict[int, int] = {}  # entry value -> bitmask of the coordinates holding it
+    for k, x in enumerate(h):
+        same[x] = same.get(x, 0) | 1 << k
+    return tuple(row & ~same[x] for row, x in zip(algebra.nil_rows, h))
 
 
 def _echelonize(m: list[list[Fraction]]) -> int:

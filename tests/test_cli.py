@@ -198,6 +198,17 @@ class TestClassify:
         assert code == 0 and report["classCount"] == 3
         assert all(len(cls) == 3 for cls in report["partition"]["classes"])
 
+    def test_rows_keep_the_labels_of_equal_members(self, capsys):
+        # at k = 1, D_i, R_i and C_i remove the same unit: one algebra, three labels
+        code, report, _ = run_json(capsys, "classify", "--n", "3", "--family", "drc", "--k", "1")
+        assert code == 0
+        assert [(r["class"], r["label"]) for r in report["rows"]] == [
+            (0, "D_2[k=1]"), (0, "R_2[k=1]"), (0, "C_2[k=1]"),
+            (1, "D_1[k=1]"), (1, "R_1[k=1]"), (1, "C_1[k=1]"),
+        ]
+        descriptors = [r["descriptor"] for r in report["rows"]]
+        assert descriptors == [d for cls in report["partition"]["classes"] for d in cls]
+
     @pytest.mark.parametrize("family, digest", [
         ("codim2", "cb40e5afd5be2866200a90664fa9a1650a6a629ff2578d1a60ca183e85cbf944"),
         ("dim2", "bb87a646b0f3ef31605f6a412087de8f667f29a47d92d7f6fa3e3f0e262511e2"),

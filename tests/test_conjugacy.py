@@ -14,25 +14,25 @@ from regalg.core import (
 )
 from regalg.conjugacy import (
     NO_WITNESS,
-    RecipeError,
     classify_family,
     compose_perm,
     decide,
     identity_perm,
     invert_perm,
     maps_onto,
-    perm_from_partial,
     permute_subalgebra,
-    recipe_witness,
 )
 from regalg.families import (
     DIM2_KINDS,
     FamilyLabel,
+    RecipeError,
     enum_codim1,
     enum_codim2,
     enum_dim2,
     enum_drc,
     make_drc,
+    perm_from_partial,
+    recipe_witness,
 )
 from regalg.invariants import signature
 

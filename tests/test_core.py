@@ -295,60 +295,57 @@ class TestEquality:
         assert a != RegularSubalgebra(4, {(1, 3)}, (h_vector(4, 1),))
 
 
-DEFAULT_MAX_N = object()  # call parse_descriptor without max_n
-
 # One input per error message, with the message, token and position it gives.
 DESCRIPTOR_ERRORS = [
-    ("n=3; nil=(1,2); x", None, "expected key=value segment: 'x' at position 16", "x", 16),
-    ("n=3; n=4", None, "duplicate segment: 'n' at position 5", "n", 5),
-    ("n=x", None, "n must be a positive integer: 'x' at position 2", "x", 2),
-    ("n=21; nil=(1,2)", 20, "n must be at most 20: '21' at position 2", "21", 2),
-    # the default bound, before any of the 21,110 vectors of cartan_null is built
-    ("n=21111; nil=(1,2); cartan=H1", DEFAULT_MAX_N,
+    ("n=3; nil=(1,2); x", "expected key=value segment: 'x' at position 16", "x", 16),
+    ("n=3; n=4", "duplicate segment: 'n' at position 5", "n", 5),
+    ("n=x", "n must be a positive integer: 'x' at position 2", "x", 2),
+    ("n=21; nil=(1,2)", "n must be at most 20: '21' at position 2", "21", 2),
+    # the bound holds before any of the 21,110 vectors of cartan_null is built
+    ("n=21111; nil=(1,2); cartan=H1",
      "n must be at most 20: '21111' at position 2", "21111", 2),
-    ("n=3; nil=(1,2),(2", None, "expected (i,j) pair: '(2' at position 15", "(2", 15),
-    ("n=3; nil=(1,2),(1,2)", None, "duplicate nil pair: '(1,2)' at position 15", "(1,2)", 15),
-    ("n=3; nil=(1,2)(2,3)", None, "expected ',' between pairs: '(2,3)' at position 14", "(2,3)", 14),
-    ("n=3; cartan=H1,,H2", None, "expected Hk, H[p,q] or diag(...): '' at position 15", "", 15),
-    ("n = 3 ;  cartan = H1 , diag(1,-1", None,
+    ("n=3; nil=(1,2),(2", "expected (i,j) pair: '(2' at position 15", "(2", 15),
+    ("n=3; nil=(1,2),(1,2)", "duplicate nil pair: '(1,2)' at position 15", "(1,2)", 15),
+    ("n=3; nil=(1,2)(2,3)", "expected ',' between pairs: '(2,3)' at position 14", "(2,3)", 14),
+    ("n=3; cartan=H1,,H2", "expected Hk, H[p,q] or diag(...): '' at position 15", "", 15),
+    ("n = 3 ;  cartan = H1 , diag(1,-1",
      "expected Hk, H[p,q] or diag(...): 'diag(1,-1' at position 23", "diag(1,-1", 23),
-    ("n=3; foo=1", None, "unknown segment: 'foo' at position 5", "foo", 5),
-    ("nil=(1,2)", None, "missing n= segment: 'nil=(1,2)' at position 0", "nil=(1,2)", 0),
-    ("n=3; cartan=H5", None,
+    ("n=3; foo=1", "unknown segment: 'foo' at position 5", "foo", 5),
+    ("nil=(1,2)", "missing n= segment: 'nil=(1,2)' at position 0", "nil=(1,2)", 0),
+    ("n=3; cartan=H5",
      "H index 5 out of range for n=3: 'n=3; cartan=H5' at position 0", "n=3; cartan=H5", 0),
-    ("n=3; cartan=H[3,1]", None,
+    ("n=3; cartan=H[3,1]",
      "H[3,1] out of range for n=3: 'n=3; cartan=H[3,1]' at position 0", "n=3; cartan=H[3,1]", 0),
-    ("n=0", None, "n must be positive, got 0: 'n=0' at position 0", "n=0", 0),
-    ("n=3; nil=(2,1)", None,
+    ("n=0", "n must be positive, got 0: 'n=0' at position 0", "n=0", 0),
+    ("n=3; nil=(2,1)",
      "invalid nilpotent position (2,1) for n=3: 'n=3; nil=(2,1)' at position 0", "n=3; nil=(2,1)", 0),
-    ("n=3; cartan=diag(1,-1)", None,
+    ("n=3; cartan=diag(1,-1)",
      "cartan generator (1, -1) has length 2, expected 3: 'n=3; cartan=diag(1,-1)' at position 0",
      "n=3; cartan=diag(1,-1)", 0),
-    ("n=3; cartan=diag(1,1,1)", None,
+    ("n=3; cartan=diag(1,1,1)",
      "cartan generator (1, 1, 1) is not traceless: 'n=3; cartan=diag(1,1,1)' at position 0",
      "n=3; cartan=diag(1,1,1)", 0),
-    ("n=3; cartan=H1,H[1,2]", None,
+    ("n=3; cartan=H1,H[1,2]",
      "cartan generators are linearly dependent: 'n=3; cartan=H1,H[1,2]' at position 0",
      "n=3; cartan=H1,H[1,2]", 0),
     # more digits than int() converts (4,300 by default)
-    ("n=" + "1" * 5000, 20,
+    ("n=" + "1" * 5000,
      f"integer has too many digits: '{'1' * 5000}' at position 2", "1" * 5000, 2),
-    ("n=3; nil=(" + "1" * 5000 + ",2)", 20,
+    ("n=3; nil=(" + "1" * 5000 + ",2)",
      f"integer has too many digits: '({'1' * 5000},2)' at position 9", f"({'1' * 5000},2)", 9),
 ]
 
 
-@pytest.mark.parametrize("text, max_n, message, token, position", DESCRIPTOR_ERRORS,
+@pytest.mark.parametrize("text, message, token, position", DESCRIPTOR_ERRORS,
                          ids=[case[0][:40] for case in DESCRIPTOR_ERRORS])
-def test_descriptor_error_is_pinned(text, max_n, message, token, position):
+def test_descriptor_error_is_pinned(text, message, token, position):
     with pytest.raises(DescriptorError) as info:
-        parse_descriptor(text) if max_n is DEFAULT_MAX_N else parse_descriptor(text, max_n)
+        parse_descriptor(text)
     assert (str(info.value), info.value.token, info.value.position) == (message, token, position)
 
 
 def test_default_bound_is_descriptor_max_n():
     assert parse_descriptor(f"n={DESCRIPTOR_MAX_N}; nil=(1,2)").n == DESCRIPTOR_MAX_N
-    assert parse_descriptor("n=25; nil=(1,2)", None).n == 25
 
 
 SEED_DESCRIPTORS = [
@@ -377,7 +374,7 @@ def test_descriptor_error_locates_its_token(text):
     """Once whitespace is removed, the text from an error's position on
     starts with its token."""
     try:
-        parse_descriptor(text, 20)
+        parse_descriptor(text)
     except DescriptorError as exc:
         assert "".join(text[exc.position:].split()).startswith("".join(exc.token.split()))
 

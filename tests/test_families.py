@@ -111,7 +111,7 @@ class TestDim2:
 
     def test_count_audit_flags_only_a1(self):
         for n in (4, 5, 6):
-            audit = dim2_count_audit(n)
+            audit = dim2_count_audit(n, enum_dim2(n))
             mismatched = {r["family"] for r in audit if not r["matches"]}
             assert mismatched == {"A1"}
             # the published count for disjoint unit pairs counts every pair
