@@ -3,9 +3,13 @@ family classification, and `verify`, which validates its arguments and
 renders the `Check` records of the `regalg.verify` suites.
 
 JSON output is the machine contract and is byte-deterministic: every
-kernel behind it is exact.  The table format is human-facing.  CSV and
-table cells flatten list values with ';' separators and write each record
-in braces, its keys in JSON order, e.g. {adjColDim=2;adjRowDim=3;adjMaxRank=2}.
+kernel behind it is exact.  It is the text of json.dumps(sort_keys=True,
+indent=2), but render yields it chunk by chunk as the encoder produces it
+and _emit writes each chunk as it comes, so writing a report holds the
+path to the current value, never the whole text.  The table format is
+human-facing.  CSV and table cells flatten list values with ';'
+separators and write each record in braces, its keys in JSON order,
+e.g. {adjColDim=2;adjRowDim=3;adjMaxRank=2}.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable
+from itertools import chain
 
 from .conjugacy import classify_family, decide
 from .core import RegularSubalgebra, parse_descriptor
@@ -50,20 +56,23 @@ def _flatten(value):
     return str(value)
 
 
-def render(report: dict, fmt: str) -> str:
+def render(report: dict, fmt: str) -> Iterable[str]:
+    """The report as text chunks, in order.  JSON is encoded lazily, chunk
+    by chunk, with the settings of json.dumps(sort_keys=True, indent=2);
+    csv and table are one chunk each."""
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(report), ("\n",))
     rows = report.get("rows", [])
     if fmt == "csv":
         if not rows:
-            return ""
+            return ()
         header = list(rows[0].keys())
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_flatten(row.get(h, "")) for h in header])
-        return buffer.getvalue()
+        return (buffer.getvalue(),)
     # table; dict-valued payloads (signature, partition) live in rows or json
     lines = []
     tables = []
@@ -93,15 +102,16 @@ def render(report: dict, fmt: str) -> str:
         lines.append("")
         lines.append(f"{name}:")
         lines.extend(table_lines(items))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n",)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the chunks as they come, so a JSON report is never held whole."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # ── enumerate / classify member sources ─────────────────────────────────
@@ -197,7 +207,8 @@ def cmd_classify(args) -> int:
     members = _family_members(args.family, args.n, args.k, args.kind, args.index)
     part = classify_family([alg for _, alg in members])
     descs = [alg.descriptor() for _, alg in members]
-    pj = part.to_json()
+    ordered = part.sorted_classes(descs)
+    pj = part.to_json(descs, ordered)
     report = {
         "command": "classify",
         "n": args.n,
@@ -208,7 +219,7 @@ def cmd_classify(args) -> int:
         "partition": pj,
         "rows": [
             {"class": idx, "label": members[i][0].text(), "descriptor": descs[i]}
-            for idx, cls in enumerate(part.sorted_classes(descs))
+            for idx, cls in enumerate(ordered)
             for i in cls
         ],
     }

@@ -242,10 +242,11 @@ class ClassPartition:
         ordered = [sorted(cls, key=lambda i: (descs[i], i)) for cls in self.classes]
         return sorted(ordered, key=lambda cls: [descs[i] for i in cls])
 
-    def to_json(self):
-        descs = [m.descriptor() for m in self.members]
+    def to_json(self, descs: list[str], ordered: list[list[int]]):
+        """The report payload, given each member's descriptor and the
+        classes in report order (sorted_classes(descs))."""
         pair_key = lambda e: (e["a"], e["b"])  # noqa: E731
-        classes = [[descs[i] for i in cls] for cls in self.sorted_classes(descs)]
+        classes = [[descs[i] for i in cls] for cls in ordered]
         witnesses = sorted(
             [{"a": descs[i], "b": descs[j], "sigma": list(sigma)}
              for i, j, sigma in self.witness_edges],

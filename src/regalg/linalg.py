@@ -53,8 +53,11 @@ def annihilator(rows, n: int) -> tuple[tuple[int, ...], ...]:
     leading entry.  A reduced row is zero before its pivot, so a is zero
     at the pivots after f, and f is its last nonzero coordinate.  The row
     span is exactly the set of vectors orthogonal to every basis vector, so
-    membership in it is a set of integer dot products.
+    membership in it is a set of integer dot products.  No rows: the unit
+    basis, which is what the general case gives, without the reduction.
     """
+    if not rows:
+        return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
     reduced = rref_primitive(rows)
     pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
     scale = lcm(*(row[p] for row, p in zip(reduced, pivots)))

@@ -4,9 +4,11 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 
 import pytest
 
+from regalg import cli
 from regalg.cli import main
 
 from wide_spans import WIDE_SPAN_G18
@@ -21,6 +23,18 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, json.loads(out) if out else None, err
+
+
+def built_report(monkeypatch, *argv):
+    """The report dict a command hands to render, and the text it writes."""
+    reports = []
+    real = cli.render
+    monkeypatch.setattr(cli, "render", lambda report, fmt: reports.append(report) or real(report, fmt))
+    out = io.StringIO()
+    monkeypatch.setattr("sys.stdout", out)
+    main([*argv, "--format", "json"])
+    (report,) = reports
+    return report, out.getvalue()
 
 
 class TestEnumerate:
@@ -314,6 +328,57 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             main(["verify", "--suite", "codim2", "--n", "4", "--n-max-oracle", "5"])
         assert info.value.code == 2
+
+
+def _classify_argvs(n):
+    yield from (("classify", "--n", str(n), "--family", f) for f in ("codim1", "codim2", "dim2"))
+    yield from (("classify", "--n", str(n), "--family", "drc", "--k", str(k)) for k in range(1, n))
+
+
+JSON_ORACLE_ARGVS = [
+    *(("enumerate", "--n", "5", "--family", f) for f in ("codim1", "codim2", "dim2")),
+    ("enumerate", "--n", "5", "--family", "drc", "--k", "2"),
+    ("invariants", FULL_N4),
+    ("invariants", DIAG_N4),
+    ("decide", "n=4; nil=(1,2),(1,4),(2,4),(3,4); cartan=", "n=4; nil=(1,3),(1,4),(2,4),(3,4); cartan="),
+    ("decide", "n=3; nil=(1,3); cartan=H1", "n=3; nil=(1,2); cartan=H1"),
+    *(argv for n in range(3, 7) for argv in _classify_argvs(n)),
+    ("verify", "--n", "4"),
+]
+
+
+class TestStreamedJson:
+    @pytest.mark.parametrize("argv", JSON_ORACLE_ARGVS, ids=" ".join)
+    def test_chunks_join_to_json_dumps(self, monkeypatch, argv):
+        report, out = built_report(monkeypatch, *argv)
+        expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert "".join(cli.render(report, "json")) == expected
+        assert out == expected
+
+    @pytest.fixture(scope="class")
+    def codim2_n8(self):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            return built_report(monkeypatch, "classify", "--n", "8", "--family", "codim2")
+
+    def test_codim2_n8_report_bytes(self, codim2_n8):
+        # a change to these bytes is a change to the report: record it
+        data = codim2_n8[1].encode()
+        assert len(data) == 2_003_599
+        assert hashlib.sha256(data).hexdigest() == (
+            "bcc908967826007f7a20ffe6a48b037aff30c00927e98ce8df9d4078d0379109")
+
+    def test_writing_a_report_does_not_hold_it(self, codim2_n8, tmp_path):
+        # the 2 MB report streams to its file: memory grows with nesting depth, not size
+        report, text = codim2_n8
+        path = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            cli._emit(cli.render(report, "json"), str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == text
+        assert peak < 1_000_000
 
 
 class TestDeterminismAndPlumbing:

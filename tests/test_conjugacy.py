@@ -260,7 +260,8 @@ class TestClassifyFamily:
 
     def test_json_shape(self):
         part = classify_family([alg for _, alg in enum_codim1(3)])
-        payload = part.to_json()
+        descs = [m.descriptor() for m in part.members]
+        payload = part.to_json(descs, part.sorted_classes(descs))
         assert set(payload) == {"classes", "witnesses", "separators", "unresolved"}
         assert all(isinstance(cls, list) for cls in payload["classes"])
         flat = [d for cls in payload["classes"] for d in cls]

@@ -106,6 +106,13 @@ def test_integer_elimination_matches_fraction_oracle(matrix):
     assert sorted(max(k for k, x in enumerate(a) if x) for a in null) == dependent
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_annihilator_of_no_rows_is_the_unit_basis(monkeypatch, n):
+    # every nil-only algebra asks for it: no reduction is needed to answer
+    monkeypatch.setattr(linalg, "rref_primitive", None)
+    assert linalg.annihilator((), n) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def family_members(n):
     members = enum_codim1(n) + enum_codim2(n) + enum_dim2(n)
     for k in range(1, n):
