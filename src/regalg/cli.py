@@ -275,6 +275,15 @@ def _add_common(p: argparse.ArgumentParser, with_n: bool = True) -> None:
     p.add_argument("--out", default=None, help="write the report to this path")
 
 
+def _add_members(p: argparse.ArgumentParser) -> None:
+    """The common options and the member selection of enumerate and classify."""
+    _add_common(p)
+    p.add_argument("--family", required=True, choices=("codim1", "codim2", "dim2", "drc"))
+    p.add_argument("--k", type=int, default=None, help="segment length for drc")
+    p.add_argument("--kind", choices=("D", "R", "C"), default=None)
+    p.add_argument("--index", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regalg",
@@ -284,11 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("enumerate", help="list a family's members")
-    _add_common(p)
-    p.add_argument("--family", required=True, choices=("codim1", "codim2", "dim2", "drc"))
-    p.add_argument("--k", type=int, default=None, help="segment length for drc")
-    p.add_argument("--kind", choices=("D", "R", "C"), default=None)
-    p.add_argument("--index", type=int, default=None)
+    _add_members(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("invariants", help="signature of one subalgebra")
@@ -303,11 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("classify", help="conjugacy class partition of a family")
-    _add_common(p)
-    p.add_argument("--family", required=True, choices=("codim1", "codim2", "dim2", "drc"))
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--kind", choices=("D", "R", "C"), default=None)
-    p.add_argument("--index", type=int, default=None)
+    _add_members(p)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("verify", help="run a verification suite")

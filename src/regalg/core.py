@@ -71,10 +71,7 @@ def h_vector(n: int, k: int) -> tuple[int, ...]:
     """The diagonal generator e_k - e_{k+1}."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"H index {k} out of range for n={n}")
-    v = [0] * n
-    v[k - 1] = 1
-    v[k] = -1
-    return tuple(v)
+    return h_pq_vector(n, k, k + 1)
 
 
 def h_pq_vector(n: int, p: int, q: int) -> tuple[int, ...]:
@@ -273,6 +270,13 @@ def dimension_bound(algebra: RegularSubalgebra, missing: tuple[int, int]) -> int
 # [-3, 3]), its worst measured case is about 1 s, at g = 11 and 12, and
 # g = 18 takes 0.02 s (one core of a shared 2-vCPU VM, Python 3.11)
 DESCRIPTOR_MAX_N = 20
+# largest magnitude of a diag(...) entry parse_descriptor admits: the
+# integers of min_rank's eliminations grow with the entries, and so does
+# its time.  Over three random spans per g = 9..13 at n = 20, the slowest
+# signature takes 2.0 s with entries in [-10, 10], 2.7 s in [-1000, 1000]
+# (g = 12), 3.6 s up to 10^6 and 5.8 s up to 10^12 (one core of a shared
+# 2-vCPU VM, Python 3.11)
+DIAG_ENTRY_MAX = 1000
 
 _NIL_PAIR = re.compile(r"\((\d+),(\d+)\)")
 _CARTAN_TOKEN = re.compile(r"H(\d+)|H\[(\d+),(\d+)\]|diag\(((?:-?\d+,)*-?\d+)\)")
@@ -283,7 +287,8 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
 
     Segments are read in one pass over the whitespace-free text; an error
     reports its offset in the original text.  An n above DESCRIPTOR_MAX_N
-    is rejected before any length-n vector is built."""
+    is rejected before any length-n vector is built, and a diag entry
+    above DIAG_ENTRY_MAX in magnitude before any signature work."""
     posmap = [idx for idx, ch in enumerate(text) if not ch.isspace()]
     condensed = "".join(text[idx] for idx in posmap)
 
@@ -298,7 +303,7 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
 
     n = None
     nil_pairs: set[tuple[int, int]] = set()
-    cartan = []  # (k, p, q, diag) groups of each Cartan token, read once n is known
+    cartan = []  # (k, p, q, diag entries) of each Cartan token, read once n is known
     seen = set()
     seg_start = 0
     for part in condensed.split(";"):
@@ -350,7 +355,16 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
                 m = _CARTAN_TOKEN.fullmatch(value, lo + 1, hi)
                 if not m:
                     raise err("expected Hk, H[p,q] or diag(...)", at + lo + 1, value[lo + 1:hi])
-                cartan.append(m.groups())
+                entries = []
+                if m[4]:
+                    pos = at + m.start(4)
+                    for digits in m[4].split(","):
+                        entries.append(number(digits, pos, digits))
+                        if abs(entries[-1]) > DIAG_ENTRY_MAX:
+                            raise err(f"diag entries must be at most {DIAG_ENTRY_MAX} in magnitude",
+                                      pos, digits)
+                        pos += len(digits) + 1
+                cartan.append((m[1], m[2], m[3], tuple(entries)))
         elif key not in ("nil", "cartan"):
             raise err("unknown segment", start, key)
 
@@ -364,7 +378,7 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
             elif p:
                 gens.append(h_pq_vector(n, int(p), int(q)))
             else:
-                gens.append(tuple(int(x) for x in diag.split(",")))
+                gens.append(diag)
         return RegularSubalgebra(n, frozenset(nil_pairs), tuple(gens))
     except ValueError as exc:
         raise DescriptorError(str(exc), text.strip(), 0) from exc

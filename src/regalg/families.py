@@ -28,7 +28,6 @@ from .core import (
 from .starcalc import bool_mul
 
 NILPOTENT_ORACLE_MAX_N = 5
-DIM2_ORACLE_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,9 @@ def codim2_expected_breakdown(n: int) -> dict[str, int]:
 # ── two-dimensional spans ───────────────────────────────────────────────
 
 
-def _standard_basis(n: int) -> list[Nil | Diag]:
+def standard_basis(n: int) -> list[Nil | Diag]:
+    """The basis of the upper-triangular part of sl(n): the units E_ij in
+    row-major order, then H1..H(n-1)."""
     elements: list[Nil | Diag] = [Nil(n, i, j) for i, j in sorted(full_nil_set(n))]
     elements.extend(Diag(h_vector(n, k)) for k in range(1, n))
     return elements
@@ -216,7 +217,7 @@ def enum_dim2(n: int) -> list[Member]:
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
     out: list[Member] = []
-    basis = _standard_basis(n)
+    basis = standard_basis(n)
     for a, b in combinations(basis, 2):
         algebra = _pair_algebra(n, a, b)
         if is_closed(algebra):
@@ -228,12 +229,10 @@ def enum_all_dim2_oracle(n: int) -> list[RegularSubalgebra]:
     """Unlabelled ground truth for the two-element spans: closure is decided
     by expanding the bracket of the two generators and checking every term
     stays inside the pair, independent of the pairwise position test."""
-    if n > DIM2_ORACLE_MAX_N:
-        raise ValueError(f"oracle guarded at n <= {DIM2_ORACLE_MAX_N}, got {n}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     out = []
-    for a, b in combinations(_standard_basis(n), 2):
+    for a, b in combinations(standard_basis(n), 2):
         if set(bracket(a, b)) <= {a, b}:
             out.append(_pair_algebra(n, a, b))
     return out

@@ -199,6 +199,18 @@ class TestDecide:
         assert code == 2 and "guarded at n <= 8" in err
 
 
+# the reports the classify-n7 benchmark workload writes: (family
+# arguments, byte length, sha256)
+CLASSIFY_N7_REPORTS = [
+    (("codim1",), 31_260, "f90a95f11923eb447996db24e3fdf723cf77a5715343ad8134adcb74bf67cb2b"),
+    (("codim2",), 861_848, "d32bc043f4f027281b87f082c88f1a54e68dca88b4a7c4c798a85f54d42f4485"),
+    (("dim2",), 122_834, "512e5693910bbb6dc3d66dd70f0fe3faacdfc22898fee7dd6a82ea28354e6424"),
+    (("drc", "--k", "1"), 17_666, "b616050d5e5afe20a7dd5d872cc6716af9a69c43f4998a12cbbad7e9a98fd12a"),
+    (("drc", "--k", "2"), 13_442, "ccd4e8ca1da9b02af04e956f0dc60a356032dd003027df11fd74017847a65163"),
+    (("drc", "--k", "3"), 15_569, "b096687e587ea6ce9b0734b48848acd34129959fcea1afb78f7e3e79ac46aa7b"),
+]
+
+
 class TestClassify:
     def test_codim1(self, capsys):
         code, report, _ = run_json(capsys, "classify", "--n", "4", "--family", "codim1")
@@ -231,6 +243,15 @@ class TestClassify:
         # a change to these bytes is a change to the report: record it
         _, out, _ = run(capsys, "classify", "--n", "5", "--family", family, "--format", "json")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("extra, length, digest", CLASSIFY_N7_REPORTS,
+                             ids=[" ".join(extra) for extra, _, _ in CLASSIFY_N7_REPORTS])
+    def test_n7_report_bytes(self, capsys, extra, length, digest):
+        # a change to these bytes is a change to the report: record it
+        _, out, _ = run(capsys, "classify", "--n", "7", "--family", *extra, "--format", "json")
+        data = out.encode()
+        assert len(data) == length
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestVerify:
@@ -308,6 +329,20 @@ class TestVerify:
         # a change to these bytes is a change to the report: record it
         _, out, _ = run(capsys, "verify", "--suite", "all", "--n", str(n), "--format", "json")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_dim2_oracle_runs_at_the_top_of_the_range(self, capsys):
+        code, report, _ = run_json(capsys, "verify", "--suite", "dim2", "--n", "8")
+        oracle = next(r for r in report["rows"] if r["check"] == "dim2-enum-oracle")
+        assert code == 0 and oracle["result"] == "PASS" and oracle["warnings"] == 0
+        assert oracle["details"].startswith("539 labelled spans")
+
+    def test_all_suite_n6_report_bytes(self, capsys):
+        # a change to these bytes is a change to the report: record it
+        _, out, _ = run(capsys, "verify", "--suite", "all", "--n", "6", "--format", "json")
+        data = out.encode()
+        assert len(data) == 3_805
+        assert hashlib.sha256(data).hexdigest() == (
+            "57655ac53690f1a3c421d51021c8371356161f52dcf49163318c229703249dfe")
 
     def test_kernels_suite_at_n2(self, capsys):
         code, report, _ = run_json(capsys, "verify", "--suite", "kernels", "--n", "2")
@@ -450,3 +485,14 @@ class TestDeterminismAndPlumbing:
         code, out, err = run(capsys, argv[0], *(d.format(n) for d in argv[1:]))
         assert code == 2 and out == ""
         assert err == f"regalg: n must be at most 20: '{n}' at position 2\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("invariants", "n=4; nil=; cartan=diag({},-1,0,1)"),
+        ("decide", "n=4; nil=; cartan=H1", "n=4; nil=; cartan=diag({},-1,0,1)"),
+    ])
+    @pytest.mark.parametrize("entry", ["-1001", "99999999999999999999999"])
+    def test_diag_entry_above_descriptor_bound(self, capsys, argv, entry):
+        # rejected before any signature work
+        code, out, err = run(capsys, argv[0], *(d.format(entry) for d in argv[1:]))
+        assert code == 2 and out == ""
+        assert err == f"regalg: diag entries must be at most 1000 in magnitude: '{entry}' at position 23\n"

@@ -8,6 +8,7 @@ from itertools import product
 
 from regalg.core import (
     DESCRIPTOR_MAX_N,
+    DIAG_ENTRY_MAX,
     DescriptorError,
     Diag,
     DimensionMismatchError,
@@ -328,7 +329,14 @@ DESCRIPTOR_ERRORS = [
     ("n=3; cartan=H1,H[1,2]",
      "cartan generators are linearly dependent: 'n=3; cartan=H1,H[1,2]' at position 0",
      "n=3; cartan=H1,H[1,2]", 0),
+    # the diag entry bound names the entry itself
+    ("n=3; cartan=H1,diag(1001,-1001,0)",
+     "diag entries must be at most 1000 in magnitude: '1001' at position 20", "1001", 20),
+    ("n=3; cartan=diag( 1 , -1001 , 1000 )",
+     "diag entries must be at most 1000 in magnitude: '-1001' at position 22", "-1001", 22),
     # more digits than int() converts (4,300 by default)
+    ("n=3; cartan=diag(1,-" + "1" * 5000 + ",0)",
+     f"integer has too many digits: '-{'1' * 5000}' at position 19", f"-{'1' * 5000}", 19),
     ("n=" + "1" * 5000,
      f"integer has too many digits: '{'1' * 5000}' at position 2", "1" * 5000, 2),
     ("n=3; nil=(" + "1" * 5000 + ",2)",
@@ -346,6 +354,12 @@ def test_descriptor_error_is_pinned(text, message, token, position):
 
 def test_default_bound_is_descriptor_max_n():
     assert parse_descriptor(f"n={DESCRIPTOR_MAX_N}; nil=(1,2)").n == DESCRIPTOR_MAX_N
+
+
+def test_diag_entries_up_to_the_bound_are_admitted():
+    m = DIAG_ENTRY_MAX
+    algebra = parse_descriptor(f"n=3; cartan=diag({m},-{m},0),diag(0,{m},-{m})")
+    assert algebra.cartan_gens == ((m, -m, 0), (0, m, -m))
 
 
 SEED_DESCRIPTORS = [

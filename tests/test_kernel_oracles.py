@@ -93,11 +93,9 @@ def integer_matrices(draw):
 @example((3, [[-2, 1, 1], [0, -3, 3]]))
 def test_integer_elimination_matches_fraction_oracle(matrix):
     n, rows = matrix
-    reduced = linalg.rref_primitive(rows)
-    assert reduced == bruteforce.rref_primitive(rows)
-    assert bruteforce.rank(rows) == len(reduced)
     null = linalg.annihilator(rows, n)
     assert null == bruteforce.annihilator(rows, n)
+    assert n - len(null) == bruteforce.rank(rows)
     # the witness scan checks each annihilator row once its last nonzero
     # coordinate is assigned: that coordinate is a column depending on the
     # earlier columns, and each such column ends exactly one row
@@ -109,7 +107,7 @@ def test_integer_elimination_matches_fraction_oracle(matrix):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_annihilator_of_no_rows_is_the_unit_basis(monkeypatch, n):
     # every nil-only algebra asks for it: no reduction is needed to answer
-    monkeypatch.setattr(linalg, "rref_primitive", None)
+    monkeypatch.setattr(linalg, "_eliminate", None)
     assert linalg.annihilator((), n) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
