@@ -5,11 +5,11 @@ renders the `Check` records of the `regalg.verify` suites.
 JSON output is the machine contract and is byte-deterministic: every
 kernel behind it is exact.  It is the text of json.dumps(sort_keys=True,
 indent=2), but render yields it chunk by chunk as the encoder produces it
-and _emit writes each chunk as it comes, so writing a report holds the
-path to the current value, never the whole text.  The table format is
-human-facing.  CSV and table cells flatten list values with ';'
-separators and write each record in braces, its keys in JSON order,
-e.g. {adjColDim=2;adjRowDim=3;adjMaxRank=2}.
+and _emit writes it in blocks of EMIT_BLOCK_CHUNKS chunks, so writing a
+report holds the path to the current value and one block, never the whole
+text.  The table format is human-facing.  CSV and table cells flatten
+list values with ';' separators and write each record in braces, its
+keys in JSON order, e.g. {adjColDim=2;adjRowDim=3;adjMaxRank=2}.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections.abc import Iterable
-from itertools import chain
+from itertools import chain, islice
 
 from .conjugacy import classify_family, decide
 from .core import RegularSubalgebra, parse_descriptor
@@ -37,6 +38,9 @@ from .invariants import signature
 from .verify import SUITE_MIN_N, SUITES, Check
 
 ENUM_MIN_N, ENUM_MAX_N = 2, 8
+# encoder chunks joined into one write: a codim2 report at n=7 is 36,103
+# chunks of about 24 bytes each, so a block of 1000 is about 24 kB
+EMIT_BLOCK_CHUNKS = 1000
 
 
 class CommandError(ValueError):
@@ -105,13 +109,20 @@ def render(report: dict, fmt: str) -> Iterable[str]:
     return ("\n".join(lines) + "\n",)
 
 
+def _blocks(chunks: Iterable[str]) -> Iterable[str]:
+    it = iter(chunks)
+    while block := list(islice(it, EMIT_BLOCK_CHUNKS)):
+        yield "".join(block)
+
+
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
-    """Write the chunks as they come, so a JSON report is never held whole."""
+    """Write the chunks in blocks of EMIT_BLOCK_CHUNKS, joined, so a JSON
+    report is never held whole."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.writelines(chunks)
+            fh.writelines(_blocks(chunks))
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(_blocks(chunks))
 
 
 # ── enumerate / classify member sources ─────────────────────────────────
@@ -320,11 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CommandError, ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and not args.out:
+            # the reader closed stdout early; the interpreter's final flush
+            # would fail again, so the rest of the output goes to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
         print(f"regalg: {exc}", file=sys.stderr)
         return 2
 

@@ -128,6 +128,7 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
       the pivots before f, so its last nonzero coordinate is f.  Once
       sigma(f) is assigned, every generator w of b must pass the check
       maps_onto makes for alpha: sum over p of alpha_p * w[sigma(p)] = 0.
+      With no generators (nil-only a and b) there is nothing to check.
 
     With equal nil counts, a full assignment maps the nil set of a exactly
     onto that of b, and every pulled-back generator of b is orthogonal to
@@ -148,8 +149,9 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
         return None
     candidates = [[t for t in range(n) if b_colour[t] == a_colour[k]] for k in range(n)]
     ending: list[tuple[int, ...] | None] = [None] * n  # the row of a.cartan_null that ends at k
-    for row in a.cartan_null:
-        ending[max(k for k, x in enumerate(row) if x)] = row
+    if b.cartan_gens:  # else a has no generators either, and every Cartan check is vacuous
+        for row in a.cartan_null:
+            ending[max(k for k, x in enumerate(row) if x)] = row
     sigma = [0] * n
     sigma_bit = [0] * n  # 1 << sigma[k]
 

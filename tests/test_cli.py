@@ -4,7 +4,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,13 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, json.loads(out) if out else None, err
+
+
+def fresh_run(*argv, pass_fds=()):
+    """`regalg *argv` in a new interpreter, on this checkout's sources."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.Popen([sys.executable, "-m", "regalg.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, pass_fds=pass_fds)
 
 
 def built_report(monkeypatch, *argv):
@@ -395,6 +406,16 @@ class TestStreamedJson:
         with pytest.MonkeyPatch.context() as monkeypatch:
             return built_report(monkeypatch, "classify", "--n", "8", "--family", "codim2")
 
+    def test_multi_block_report_to_stdout(self, capsys, monkeypatch):
+        reports = []
+        real = cli.render
+        monkeypatch.setattr(cli, "render", lambda report, fmt: reports.append(report) or real(report, fmt))
+        code, out, _ = run(capsys, "classify", "--n", "6", "--family", "codim2", "--format", "json")
+        (report,) = reports
+        assert code == 0
+        assert sum(1 for _ in real(report, "json")) > 2 * cli.EMIT_BLOCK_CHUNKS
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
     def test_codim2_n8_report_bytes(self, codim2_n8):
         # a change to these bytes is a change to the report: record it
         data = codim2_n8[1].encode()
@@ -433,6 +454,25 @@ class TestDeterminismAndPlumbing:
         )
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["count"] == 4
+
+    def test_reader_closing_early_exits_quietly(self):
+        # `regalg classify ... | head -c 10`: a reader that stops is no input error
+        with fresh_run("classify", "--n", "8", "--family", "codim2", "--format", "json") as proc:
+            assert proc.stdout.read(10) == b'{\n  "class'
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")
+
+    def test_out_pipe_closing_early_is_reported(self):
+        # --out names a pipe whose reader stops: a write error like any other --out path
+        read_fd, write_fd = os.pipe()
+        with fresh_run("classify", "--n", "8", "--family", "codim2", "--format", "json",
+                       "--out", f"/dev/fd/{write_fd}", pass_fds=(write_fd,)) as proc:
+            os.close(write_fd)
+            with os.fdopen(read_fd, "rb") as reader:
+                assert reader.read(10) == b'{\n  "class'
+            out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out, err) == (2, b"", b"regalg: [Errno 32] Broken pipe\n")
 
     def test_seed_flag_rejected(self):
         with pytest.raises(SystemExit) as info:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fractions import Fraction
 from itertools import product
 
+from regalg import linalg
 from regalg.core import (
     DESCRIPTOR_MAX_N,
     DIAG_ENTRY_MAX,
@@ -14,6 +15,7 @@ from regalg.core import (
     DimensionMismatchError,
     Nil,
     RegularSubalgebra,
+    _cartan_null,
     bracket,
     closure_defect,
     dimension_bound,
@@ -117,10 +119,23 @@ class TestRegularSubalgebra:
             RegularSubalgebra(3, frozenset(), ((1, 0, 0),))
 
     def test_rejects_dependent_generators(self):
-        with pytest.raises(ValueError):
-            RegularSubalgebra(3, frozenset(), ((1, -1, 0), (2, -2, 0)))
-        with pytest.raises(ValueError):
-            RegularSubalgebra(3, frozenset(), ((1, -1, 0), (1, -1, 0)))
+        # twice each: the second build reuses the reduced span and must still reject it
+        for gens in (((1, -1, 0), (2, -2, 0)), ((1, -1, 0), (1, -1, 0))):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="linearly dependent"):
+                    RegularSubalgebra(3, frozenset(), gens)
+
+    def test_each_span_is_reduced_once(self, monkeypatch):
+        _cartan_null.cache_clear()
+        calls = []
+        real = linalg.annihilator
+        monkeypatch.setattr(linalg, "annihilator", lambda rows, n: calls.append(rows) or real(rows, n))
+        gens = ((1, 1, 0, -2), (0, 1, -1, 0))
+        first = RegularSubalgebra(4, {(1, 2)}, gens)
+        second = RegularSubalgebra(4, {(3, 4)}, [list(v) for v in gens])
+        other = RegularSubalgebra(4, {(3, 4)}, gens[:1])
+        assert calls == [gens, gens[:1]]
+        assert first.cartan_null == second.cartan_null == real(gens, 4) != other.cartan_null
 
     def test_rejects_wrong_length_generator(self):
         with pytest.raises(ValueError):

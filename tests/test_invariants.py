@@ -16,6 +16,7 @@ from regalg.core import (
 from regalg.conjugacy import permute_subalgebra
 from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
 from regalg.invariants import (
+    SIGNATURE_CACHE_SIZE,
     _root_pairs,
     cartan_record,
     separate,
@@ -170,3 +171,8 @@ class TestSerialization:
         records = signature(algebra).to_json()["cartanSignature"]
         keys = [(r["adjColDim"], r["adjRowDim"], r["adjMaxRank"]) for r in records]
         assert keys == sorted(keys)
+
+
+def test_signature_cache_is_bounded():
+    # `verify --n 8` computes 789 signatures: none is evicted
+    assert signature.cache_info().maxsize == SIGNATURE_CACHE_SIZE >= 4096

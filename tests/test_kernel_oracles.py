@@ -252,13 +252,36 @@ def test_min_rank_is_the_min_support_of_wide_spans(gens):
     assert min_rank(algebra) == bruteforce.min_support(algebra)
 
 
-@settings(max_examples=150, deadline=None)
-@given(closed_algebras(max_n=6), st.data())
-def test_witness_scan_matches_rref_scan(a, data):
-    image = permute_subalgebra(a, data.draw(st.permutations(range(1, a.n + 1))))
+# Pairs for both witness-scan oracles.  Nil-only pairs need no Cartan
+# check: a relabeled copy, and a pair with equal nil degrees but no
+# witness (two stars against a zigzag and an edge).  The Cartan pair
+# has every permutation as a witness for its nil sets, none for its spans.
+NIL_ONLY_RELABELED = (RegularSubalgebra(4, {(1, 2), (1, 3)}), RegularSubalgebra(4, {(2, 3), (2, 4)}))
+NIL_ONLY_NO_WITNESS = (RegularSubalgebra(6, {(1, 2), (1, 3), (4, 6), (5, 6)}),
+                       RegularSubalgebra(6, {(1, 2), (1, 4), (3, 4), (5, 6)}))
+CARTAN_NO_WITNESS = (RegularSubalgebra(3, cartan_gens=[(1, 2, -3)]),
+                     RegularSubalgebra(3, cartan_gens=[(1, 1, -2)]))
+
+
+@st.composite
+def relabelings(draw):
+    """(a, b): b is a relabeling of a (a itself when the relabeling leaves
+    the upper triangle), with another Cartan span in half the draws."""
+    a = draw(closed_algebras(max_n=6))
+    image = permute_subalgebra(a, draw(st.permutations(range(1, a.n + 1))))
     b = a if image is None else image
-    if data.draw(st.booleans()):
-        b = RegularSubalgebra(b.n, b.nil_set, data.draw(cartan_spans(b.n)))
+    if draw(st.booleans()):
+        b = RegularSubalgebra(b.n, b.nil_set, draw(cartan_spans(b.n)))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelings())
+@example(NIL_ONLY_RELABELED)
+@example(NIL_ONLY_NO_WITNESS)
+@example(CARTAN_NO_WITNESS)
+def test_witness_scan_matches_rref_scan(pair):
+    a, b = pair
     assert _witness_scan(a, b) == bruteforce.witness_scan_by_rref(a, b)
 
 
@@ -278,19 +301,31 @@ def upper_relabelings(draw, algebra):
     return tuple(sigma)
 
 
-@settings(max_examples=150, deadline=None)
-@given(closed_algebras(max_n=7), st.data())
-def test_witness_scan_matches_exhaustive_scan(a, data):
-    b = permute_subalgebra(a, data.draw(upper_relabelings(a)))
-    copy = data.draw(st.sampled_from(
+@st.composite
+def upper_copies(draw):
+    """(a, b): b is an upper relabeling of a, that copy with another Cartan
+    span, its generators reordered, or another basis of its span."""
+    a = draw(closed_algebras(max_n=7))
+    b = permute_subalgebra(a, draw(upper_relabelings(a)))
+    copy = draw(st.sampled_from(
         ["relabeled", "other span", "reordered generators", "other basis"]))
     if copy == "other span":
-        b = RegularSubalgebra(b.n, b.nil_set, data.draw(cartan_spans(b.n)))
+        b = RegularSubalgebra(b.n, b.nil_set, draw(cartan_spans(b.n)))
     elif copy == "reordered generators":
-        b = RegularSubalgebra(b.n, b.nil_set, data.draw(st.permutations(b.cartan_gens)))
+        b = RegularSubalgebra(b.n, b.nil_set, draw(st.permutations(b.cartan_gens)))
     elif copy == "other basis" and len(b.cartan_gens) > 1:
         first, second, *rest = b.cartan_gens
         b = RegularSubalgebra(b.n, b.nil_set, [[x + y for x, y in zip(first, second)], second, *rest])
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(upper_copies())
+@example(NIL_ONLY_RELABELED)
+@example(NIL_ONLY_NO_WITNESS)
+@example(CARTAN_NO_WITNESS)
+def test_witness_scan_matches_exhaustive_scan(pair):
+    a, b = pair
     assert _witness_scan(a, b) == bruteforce.witness_scan_exhaustive(a, b)
 
 
