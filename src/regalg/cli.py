@@ -167,7 +167,7 @@ def _member_row(label: FamilyLabel, algebra: RegularSubalgebra) -> dict:
     }
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> dict:
     _check_n(args.n)
     members = _family_members(args.family, args.n, args.k, args.kind, args.index)
     report = {
@@ -179,69 +179,59 @@ def cmd_enumerate(args) -> int:
     }
     if args.family == "dim2":
         report["familyCounts"] = dim2_count_audit(args.n, members)
-    _emit(render(report, args.format), args.out)
-    return 0
+    return report
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> dict:
     algebra = parse_descriptor(args.descriptor)
-    sig = signature(algebra)
-    report = {
+    sig = signature(algebra).to_json()
+    return {
         "command": "invariants",
         "descriptor": algebra.descriptor(),
         "nilPattern": [" ".join("*" if row >> j & 1 else "0" for j in range(algebra.n))
                        for row in algebra.nil_rows],
-        "signature": sig.to_json(),
-        "rows": [{"field": k, "value": v} for k, v in sig.to_json().items()],
+        "signature": sig,
+        "rows": [{"field": k, "value": v} for k, v in sig.items()],
     }
-    _emit(render(report, args.format), args.out)
-    return 0
 
 
-def cmd_decide(args) -> int:
+def cmd_decide(args) -> dict:
     a = parse_descriptor(args.descriptor_a)
     b = parse_descriptor(args.descriptor_b)
     verdict = decide(a, b)
-    report = {
+    return {
         "command": "decide",
         "a": a.descriptor(),
         "b": b.descriptor(),
         **verdict.to_json(),
         "rows": [{"a": a.descriptor(), "b": b.descriptor(), **verdict.to_json()}],
     }
-    _emit(render(report, args.format), args.out)
-    return 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     _check_n(args.n)
     members = _family_members(args.family, args.n, args.k, args.kind, args.index)
     part = classify_family([alg for _, alg in members])
-    descs = [alg.descriptor() for _, alg in members]
-    ordered = part.sorted_classes(descs)
-    pj = part.to_json(descs, ordered)
-    report = {
+    return {
         "command": "classify",
         "n": args.n,
         "family": args.family,
-        "classCount": len(pj["classes"]),
+        "classCount": len(part.classes),
         # always 0, kept with the partition's empty list (ClassPartition.to_json)
         "unresolvedCount": 0,
-        "partition": pj,
+        "partition": part.to_json(),
         "rows": [
-            {"class": idx, "label": members[i][0].text(), "descriptor": descs[i]}
-            for idx, cls in enumerate(ordered)
+            {"class": idx, "label": members[i][0].text(), "descriptor": part.descriptors[i]}
+            for idx, cls in enumerate(part.classes)
             for i in cls
         ],
     }
-    _emit(render(report, args.format), args.out)
-    return 0
 
 
 # ── verification suite ──────────────────────────────────────────────────
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     _check_n(args.n)
     if args.k is not None:
         if args.suite not in ("drc", "all"):
@@ -272,8 +262,7 @@ def cmd_verify(args) -> int:
         "warnings": warnings,
         "rows": [c.row() for c in checks],
     }
-    _emit(render(report, args.format), args.out)
-    return 1 if failed else 0
+    return report, 1 if failed else 0
 
 
 # ── argument parsing ────────────────────────────────────────────────────
@@ -333,7 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # every command returns its report; verify also returns its status
+        result = args.fn(args)
+        report, status = result if isinstance(result, tuple) else (result, 0)
+        _emit(render(report, args.format), args.out)
+        return status
     except (CommandError, ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError) and not args.out:
             # the reader closed stdout early; the interpreter's final flush

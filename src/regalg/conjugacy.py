@@ -24,6 +24,7 @@ that separates them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -225,45 +226,43 @@ def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Partition of a member list into conjugacy classes.
+    """Partition of a member list into conjugacy classes, in report order:
+    members by (descriptor, index), classes by their members' descriptors.
 
-    classes holds member indices; every within-class consecutive pair has a
-    verified witness edge.  separators holds one (c, d, name) entry per pair
-    c < d of indices into classes, with the name decide gives their members.
+    classes holds member indices and signatures one signature per class.
+    Every within-class pair consecutive in index order has a verified
+    witness edge.
     """
 
     members: tuple[RegularSubalgebra, ...]
+    descriptors: tuple[str, ...]
     classes: tuple[tuple[int, ...], ...]
     witness_edges: tuple[tuple[int, int, Perm], ...]
-    separators: tuple[tuple[int, int, str], ...]
+    signatures: tuple[InvariantSignature, ...]
 
-    def sorted_classes(self, descs: list[str]) -> list[list[int]]:
-        """The classes in report order, given each member's descriptor:
-        members by (descriptor, index), classes by their members'
-        descriptors."""
-        ordered = [sorted(cls, key=lambda i: (descs[i], i)) for cls in self.classes]
-        return sorted(ordered, key=lambda cls: [descs[i] for i in cls])
+    def separators(self) -> Iterator[tuple[int, int, str]]:
+        """(c, d, name) for each pair c < d of indices into classes, with
+        the name decide gives their members."""
+        sigs = self.signatures
+        for c, d in combinations(range(len(sigs)), 2):
+            yield c, d, separate(sigs[c], sigs[d]) or NO_WITNESS
 
-    def to_json(self, descs: list[str], ordered: list[list[int]]):
-        """The report payload, given each member's descriptor and the
-        classes in report order (sorted_classes(descs))."""
-        pair_key = lambda e: (e["a"], e["b"])  # noqa: E731
-        classes = [[descs[i] for i in cls] for cls in ordered]
+    def to_json(self):
+        """The report payload.  Equal descriptors are one algebra, hence
+        one class, so the classes' first descriptors strictly increase and
+        the separators come out sorted by their (a, b) descriptors."""
+        descs = self.descriptors
+        first = [descs[cls[0]] for cls in self.classes]
         witnesses = sorted(
             [{"a": descs[i], "b": descs[j], "sigma": list(sigma)}
              for i, j, sigma in self.witness_edges],
-            key=pair_key,
-        )
-        first = [min(descs[i] for i in cls) for cls in self.classes]
-        separators = sorted(
-            [dict(zip("ab", sorted((first[c], first[d]))), invariant=name)
-             for c, d, name in self.separators],
-            key=pair_key,
+            key=lambda e: (e["a"], e["b"]),
         )
         return {
-            "classes": classes,
+            "classes": [[descs[i] for i in cls] for cls in self.classes],
             "witnesses": witnesses,
-            "separators": separators,
+            "separators": [{"a": first[c], "b": first[d], "invariant": name}
+                           for c, d, name in self.separators()],
             # every pair is decided; the empty list stays because the
             # benchmark worker (perfbench/worker.py) still reads this key
             "unresolved": [],
@@ -272,20 +271,19 @@ class ClassPartition:
 
 def classify_family(members) -> ClassPartition:
     """Group members into conjugacy classes by witness search, merging only
-    on verified witnesses, and name one separator per pair of classes.
+    on verified witnesses, and put the classes in report order.
 
     One pass over the members: each is scanned, in index order, against
     the representatives of its signature group and joins the class of the
     first that admits a witness, or else represents a new class.  Witness
     existence is an equivalence, so one failed scan against a class
     representative rules out the whole class.  A class never spans two
-    signature groups, so the separator of two classes is that of their
-    representatives: the first differing signature field, or NO_WITNESS
-    for two classes of one group.
+    signature groups, so each class has one signature, and the separator
+    of two classes is that of their signatures.
     """
     members = tuple(members)
     if not members:
-        return ClassPartition((), (), (), ())
+        return ClassPartition((), (), (), (), ())
     n = members[0].n
     sigs = []
     reps: dict[InvariantSignature, list[int]] = {}  # class representatives per signature
@@ -306,18 +304,19 @@ def classify_family(members) -> ClassPartition:
             group.append(idx)
             by_rep[idx] = [idx]
             to_rep[idx] = identity_perm(n)
-    classes = tuple(map(tuple, by_rep.values()))
 
     edges = []
-    for cls in classes:
+    for cls in by_rep.values():
         for a, b in zip(cls, cls[1:]):
             sigma = compose_perm(invert_perm(to_rep[b]), to_rep[a])
             if not maps_onto(members[a], sigma, members[b]):
                 raise AssertionError("composed witness failed re-verification")
             edges.append((a, b, sigma))
 
-    separators = tuple(
-        (c, d, separate(sigs[classes[c][0]], sigs[classes[d][0]]) or NO_WITNESS)
-        for c, d in combinations(range(len(classes)), 2)
-    )
-    return ClassPartition(members, classes, tuple(edges), separators)
+    descs = tuple(m.descriptor() for m in members)
+    # a stable sort of a class in index order is by (descriptor, index);
+    # first descriptors differ between classes (to_json), so they order them
+    classes = sorted((tuple(sorted(cls, key=descs.__getitem__)) for cls in by_rep.values()),
+                     key=lambda cls: descs[cls[0]])
+    return ClassPartition(members, descs, tuple(classes), tuple(edges),
+                          tuple(sigs[cls[0]] for cls in classes))

@@ -367,6 +367,7 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
                 m = _CARTAN_TOKEN.fullmatch(value, lo + 1, hi)
                 if not m:
                     raise err("expected Hk, H[p,q] or diag(...)", at + lo + 1, value[lo + 1:hi])
+                k, p, q = (number(m[g], at + m.start(g), m[g]) if m[g] else None for g in (1, 2, 3))
                 entries = []
                 if m[4]:
                     pos = at + m.start(4)
@@ -376,7 +377,7 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
                             raise err(f"diag entries must be at most {DIAG_ENTRY_MAX} in magnitude",
                                       pos, digits)
                         pos += len(digits) + 1
-                cartan.append((m[1], m[2], m[3], tuple(entries)))
+                cartan.append((k, p, q, tuple(entries)))
         elif key not in ("nil", "cartan"):
             raise err("unknown segment", start, key)
 
@@ -385,10 +386,10 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
     try:
         gens = []
         for k, p, q, diag in cartan:
-            if k:
-                gens.append(h_vector(n, int(k)))
-            elif p:
-                gens.append(h_pq_vector(n, int(p), int(q)))
+            if k is not None:
+                gens.append(h_vector(n, k))
+            elif p is not None:
+                gens.append(h_pq_vector(n, p, q))
             else:
                 gens.append(diag)
         return RegularSubalgebra(n, frozenset(nil_pairs), tuple(gens))

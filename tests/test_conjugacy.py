@@ -251,7 +251,7 @@ class TestClassifyFamily:
         # one separator per pair of classes, each pair exactly once
         for members in (enum_codim1(4), enum_codim2(3)):
             part = classify_family([alg for _, alg in members])
-            pairs = [(c, d) for c, d, _ in part.separators]
+            pairs = [(c, d) for c, d, _ in part.separators()]
             assert pairs == list(combinations(range(len(part.classes)), 2))
 
     def test_mixed_n_rejected(self):
@@ -260,12 +260,37 @@ class TestClassifyFamily:
 
     def test_json_shape(self):
         part = classify_family([alg for _, alg in enum_codim1(3)])
-        descs = [m.descriptor() for m in part.members]
-        payload = part.to_json(descs, part.sorted_classes(descs))
+        assert part.descriptors == tuple(m.descriptor() for m in part.members)
+        payload = part.to_json()
         assert set(payload) == {"classes", "witnesses", "separators", "unresolved"}
         assert all(isinstance(cls, list) for cls in payload["classes"])
         flat = [d for cls in payload["classes"] for d in cls]
         assert len(flat) == 4 and flat == sorted(set(flat))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_report_order(self, n):
+        families = [enum_codim1(n), enum_codim2(n), enum_dim2(n),
+                    *(enum_drc(n, k) for k in range(1, n))]
+        for members in families:
+            part = classify_family([alg for _, alg in members])
+            # equal descriptors are one algebra, so first descriptors differ
+            first = [part.descriptors[cls[0]] for cls in part.classes]
+            assert all(x < y for x, y in zip(first, first[1:]))
+            assert all(
+                [part.descriptors[i] for i in cls] == sorted(part.descriptors[i] for i in cls)
+                for cls in part.classes
+            )
+            separators = part.to_json()["separators"]
+            assert separators == sorted(separators, key=lambda e: (e["a"], e["b"]))
+            assert len(separators) == len(first) * (len(first) - 1) // 2
+        # at k = 1, D_i, R_i and C_i remove the same unit: one algebra, one class
+        members = enum_drc(n, 1)
+        part = classify_family([alg for _, alg in members])
+        class_of = {i: c for c, cls in enumerate(part.classes) for i in cls}
+        by_index: dict[int, set[int]] = {}
+        for i, (lab, _) in enumerate(members):
+            by_index.setdefault(lab.indices[0], set()).add(class_of[i])
+        assert len(by_index) == n - 1 and all(len(cs) == 1 for cs in by_index.values())
 
 
 class TestRecipeWitness:

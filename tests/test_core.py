@@ -356,6 +356,12 @@ DESCRIPTOR_ERRORS = [
      f"integer has too many digits: '{'1' * 5000}' at position 2", "1" * 5000, 2),
     ("n=3; nil=(" + "1" * 5000 + ",2)",
      f"integer has too many digits: '({'1' * 5000},2)' at position 9", f"({'1' * 5000},2)", 9),
+    ("n=3; cartan=H" + "1" * 5000,
+     f"integer has too many digits: '{'1' * 5000}' at position 13", "1" * 5000, 13),
+    ("n=3; cartan=H[" + "1" * 5000 + ",2]",
+     f"integer has too many digits: '{'1' * 5000}' at position 14", "1" * 5000, 14),
+    ("n=3; cartan=H[1," + "1" * 5000 + "]",
+     f"integer has too many digits: '{'1' * 5000}' at position 16", "1" * 5000, 16),
 ]
 
 
