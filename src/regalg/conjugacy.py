@@ -37,22 +37,6 @@ NO_WITNESS = "noPermutationWitness"  # separator of equal signatures with no wit
 Perm = tuple[int, ...]  # sigma[i-1] is the image of i, values 1..n
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
-def compose_perm(p: Perm, q: Perm) -> Perm:
-    """Composition applying q first, then p."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
-
-
-def invert_perm(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, image in enumerate(p):
-        out[image - 1] = i + 1
-    return tuple(out)
-
-
 def _check_perm(sigma, n: int) -> Perm:
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
@@ -87,7 +71,8 @@ def permute_subalgebra(algebra: RegularSubalgebra, sigma) -> RegularSubalgebra |
 def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
     """The relabeling sigma carries a onto b, i.e.
     permute_subalgebra(a, sigma) == b, checked without building the image.
-    Every witness is re-verified through this check before it is reported.
+    Every witness is re-verified through this check, in _witness, before it
+    is reported.
 
     Proof.  Take equal n, nil-set sizes and generator counts.  The image nil
     set {(sigma i, sigma j)} has as many positions as a's, since sigma is
@@ -180,6 +165,16 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
     return tuple(t + 1 for t in sigma)
 
 
+def _witness(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
+    """The lexicographically first permutation mapping a onto b, re-verified
+    by maps_onto, or None.  A scan result that fails re-verification raises
+    AssertionError."""
+    sigma = _witness_scan(a, b)
+    if sigma is not None and not maps_onto(a, sigma, b):
+        raise AssertionError("witness failed re-verification")
+    return sigma
+
+
 @dataclass(frozen=True)
 class ConjugacyVerdict:
     kind: str  # "conjugate" | "distinct"
@@ -216,11 +211,9 @@ def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
         return ConjugacyVerdict("distinct", separator=name)
     if a.n > PERM_SEARCH_MAX_N:
         raise ValueError(f"witness search guarded at n <= {PERM_SEARCH_MAX_N}, got n={a.n}")
-    sigma = _witness_scan(a, b)
+    sigma = _witness(a, b)
     if sigma is None:
         return ConjugacyVerdict("distinct", separator=NO_WITNESS)
-    if not maps_onto(a, sigma, b):
-        raise AssertionError("witness failed re-verification")
     return ConjugacyVerdict("conjugate", witness=sigma)
 
 
@@ -230,8 +223,10 @@ class ClassPartition:
     members by (descriptor, index), classes by their members' descriptors.
 
     classes holds member indices and signatures one signature per class.
-    Every within-class pair consecutive in index order has a verified
-    witness edge.
+    witness_edges holds one (i, j, sigma) for every within-class pair i < j
+    consecutive in index order: sigma is the lexicographically first
+    permutation mapping member i onto member j, the witness decide prints,
+    re-verified by maps_onto.
     """
 
     members: tuple[RegularSubalgebra, ...]
@@ -274,49 +269,42 @@ def classify_family(members) -> ClassPartition:
     on verified witnesses, and put the classes in report order.
 
     One pass over the members: each is scanned, in index order, against
-    the representatives of its signature group and joins the class of the
-    first that admits a witness, or else represents a new class.  Witness
-    existence is an equivalence, so one failed scan against a class
-    representative rules out the whole class.  A class never spans two
-    signature groups, so each class has one signature, and the separator
-    of two classes is that of their signatures.
+    the last member so far of each class in its signature group, and joins
+    the first class whose last member admits a witness, or else starts a
+    new class.  Witness existence is an equivalence, so one failed scan
+    against any member rules out the whole class.  Each merge records the
+    edge (last, member, sigma), where sigma is the lexicographically first
+    witness, the one decide(last, member) reports; so the edges link the
+    members of each class consecutively in index order.  A class never
+    spans two signature groups, so each class has one signature, and the
+    separator of two classes is that of their signatures.
     """
     members = tuple(members)
     if not members:
         return ClassPartition((), (), (), (), ())
     n = members[0].n
     sigs = []
-    reps: dict[InvariantSignature, list[int]] = {}  # class representatives per signature
-    by_rep: dict[int, list[int]] = {}  # representative -> its class, in index order
-    to_rep: dict[int, Perm] = {}  # witness: member -> its class representative
+    groups: dict[InvariantSignature, list[list[int]]] = {}  # classes per signature, in index order
+    edges = []
     for idx, m in enumerate(members):
         if m.n != n:
             raise DimensionMismatchError("members mix different n")
         sigs.append(signature(m))
-        group = reps.setdefault(sigs[-1], [])
-        for rep in group:
-            sigma = _witness_scan(m, members[rep])
+        group = groups.setdefault(sigs[-1], [])
+        for cls in group:
+            sigma = _witness(members[cls[-1]], m)
             if sigma is not None:
-                by_rep[rep].append(idx)
-                to_rep[idx] = sigma
+                edges.append((cls[-1], idx, sigma))
+                cls.append(idx)
                 break
         else:
-            group.append(idx)
-            by_rep[idx] = [idx]
-            to_rep[idx] = identity_perm(n)
-
-    edges = []
-    for cls in by_rep.values():
-        for a, b in zip(cls, cls[1:]):
-            sigma = compose_perm(invert_perm(to_rep[b]), to_rep[a])
-            if not maps_onto(members[a], sigma, members[b]):
-                raise AssertionError("composed witness failed re-verification")
-            edges.append((a, b, sigma))
+            group.append([idx])
 
     descs = tuple(m.descriptor() for m in members)
     # a stable sort of a class in index order is by (descriptor, index);
     # first descriptors differ between classes (to_json), so they order them
-    classes = sorted((tuple(sorted(cls, key=descs.__getitem__)) for cls in by_rep.values()),
+    classes = sorted((tuple(sorted(cls, key=descs.__getitem__))
+                      for group in groups.values() for cls in group),
                      key=lambda cls: descs[cls[0]])
     return ClassPartition(members, descs, tuple(classes), tuple(edges),
                           tuple(sigs[cls[0]] for cls in classes))

@@ -8,6 +8,7 @@ diagonal generators.  All indices are 1-based.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,12 +30,14 @@ class NotClosedError(ValueError):
 
 
 class DescriptorError(ValueError):
-    """Malformed subalgebra descriptor text."""
+    """Malformed subalgebra descriptor text.  The message quotes the token
+    through reprlib.repr, so a long token is shortened to 30 characters with
+    its middle elided; .token keeps it whole."""
 
     def __init__(self, message: str, token: str, position: int):
         self.token = token
         self.position = position
-        super().__init__(f"{message}: {token!r} at position {position}")
+        super().__init__(f"{message}: {reprlib.repr(token)} at position {position}")
 
 
 @dataclass(frozen=True)

@@ -412,3 +412,21 @@ def witness_scan_by_rref(a: RegularSubalgebra, b: RegularSubalgebra):
         if rref_primitive(permuted) == target_span:
             return sigma
     return None
+
+
+def closed_nil_sets(n: int) -> list[frozenset[tuple[int, int]]]:
+    """Every closed nil set at n, i.e. every naturally labeled poset on
+    1..n, built column by column: the rows i < j of column j form a
+    down-set of the poset already built on 1..j-1, which is exactly the
+    closure of (i, k), (k, j) -> (i, j) at the new column."""
+    sets = [frozenset()]
+    for j in range(2, n + 1):
+        grown = []
+        for nil in sets:
+            below = [{h for h in range(1, i) if (h, i) in nil} for i in range(j)]
+            for mask in range(1 << (j - 1)):
+                column = {i for i in range(1, j) if mask >> (i - 1) & 1}
+                if all(below[i] <= column for i in column):
+                    grown.append(nil | {(i, j) for i in column})
+        sets = grown
+    return sets

@@ -1,10 +1,10 @@
 """Permutation action, witness search, verdicts, and class partitions."""
 
-from itertools import combinations
+from itertools import combinations, pairwise
 
 import pytest
 
-from regalg import core
+from regalg import conjugacy, core
 from regalg.core import (
     DimensionMismatchError,
     NotClosedError,
@@ -15,10 +15,7 @@ from regalg.core import (
 from regalg.conjugacy import (
     NO_WITNESS,
     classify_family,
-    compose_perm,
     decide,
-    identity_perm,
-    invert_perm,
     maps_onto,
     permute_subalgebra,
 )
@@ -36,21 +33,14 @@ from regalg.families import (
 )
 from regalg.invariants import signature
 
+import bruteforce
+
 
 def nil_algebra(n, removed):
     return RegularSubalgebra(n, full_nil_set(n) - set(removed), ())
 
 
 class TestPermHelpers:
-    def test_compose_applies_right_first(self):
-        tau12, tau23 = perm_from_partial(3, {1: 2, 2: 1}), perm_from_partial(3, {2: 3, 3: 2})
-        assert compose_perm(tau12, tau23) == (2, 3, 1)
-        assert compose_perm(tau23, tau12) == (3, 1, 2)
-
-    def test_invert(self):
-        sigma = (2, 3, 1)
-        assert compose_perm(invert_perm(sigma), sigma) == identity_perm(3)
-
     def test_partial_fill(self):
         assert perm_from_partial(5, {1: 3, 2: 4}) == (3, 4, 1, 2, 5)
 
@@ -67,7 +57,7 @@ class TestPermuteSubalgebra:
 
     def test_identity(self):
         algebra = nil_algebra(4, [(1, 2)])
-        assert permute_subalgebra(algebra, identity_perm(4)) == algebra
+        assert permute_subalgebra(algebra, (1, 2, 3, 4)) == algebra
 
     def test_unit_pair_to_row_pair(self):
         n12 = nil_algebra(4, [(1, 2), (2, 3)])
@@ -105,7 +95,7 @@ class TestPermConjugate:
 
     def test_self_gives_identity(self):
         algebra = nil_algebra(4, [(1, 2), (2, 3)])
-        assert decide(algebra, algebra).witness == identity_perm(4)
+        assert decide(algebra, algebra).witness == (1, 2, 3, 4)
 
     def test_absent_for_separated_unit_pairs(self):
         a = nil_algebra(5, [(1, 2), (3, 4)])
@@ -115,7 +105,7 @@ class TestPermConjugate:
     def test_spans_compared_not_generator_lists(self):
         a = RegularSubalgebra(3, {(1, 3)}, (h_vector(3, 1), h_vector(3, 2)))
         b = RegularSubalgebra(3, {(1, 3)}, ((1, 0, -1), (0, 1, -1)))
-        assert decide(a, b).witness == identity_perm(3)
+        assert decide(a, b).witness == (1, 2, 3)
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -200,7 +190,7 @@ class TestDecide:
     def test_self_conjugate(self):
         algebra = nil_algebra(4, [(1, 2)])
         verdict = decide(algebra, algebra)
-        assert verdict.is_conjugate and verdict.witness == identity_perm(4)
+        assert verdict.is_conjugate and verdict.witness == (1, 2, 3, 4)
 
     def test_witnesses_are_reverified(self):
         # every conjugate verdict over a family maps a exactly onto b
@@ -241,11 +231,28 @@ class TestClassifyFamily:
         assert sorted(singles) == ["N_{1,3}", "N_{1,4}", "N_{2,4}"]
 
     def test_witness_edges_verified(self):
-        members = [alg for _, alg in enum_codim2(4)]
-        part = classify_family(members)
-        for a, b, sigma in part.witness_edges:
-            image = permute_subalgebra(part.members[a], sigma)
-            assert image == part.members[b]
+        # each edge links consecutive class members in index order and
+        # carries the lexicographically first witness, the one decide prints
+        families = [family(n) for n in (4, 5, 6) for family in (enum_codim1, enum_codim2, enum_dim2)]
+        families += [enum_drc(n, k) for n in (4, 5, 6) for k in range(1, n)]
+        for members in families:
+            part = classify_family([alg for _, alg in members])
+            consecutive = {pair for cls in part.classes for pair in pairwise(sorted(cls))}
+            assert {(i, j) for i, j, _ in part.witness_edges} == consecutive
+            for i, j, sigma in part.witness_edges:
+                a, b = part.members[i], part.members[j]
+                assert permute_subalgebra(a, sigma) == b
+                assert sigma == bruteforce.witness_scan_exhaustive(a, b) == decide(a, b).witness
+
+    def test_scan_result_is_reverified(self, monkeypatch):
+        # a scan result that is no witness raises in decide and in classify
+        a, b = nil_algebra(4, [(1, 3), (2, 3)]), nil_algebra(4, [(1, 2), (2, 3)])
+        assert not maps_onto(a, (4, 3, 2, 1), b)
+        monkeypatch.setattr(conjugacy, "_witness_scan", lambda x, y: (4, 3, 2, 1))
+        with pytest.raises(AssertionError, match="re-verification"):
+            decide(a, b)
+        with pytest.raises(AssertionError, match="re-verification"):
+            classify_family([a, b])
 
     def test_cross_pairs_covered(self):
         # one separator per pair of classes, each pair exactly once
@@ -301,7 +308,7 @@ class TestRecipeWitness:
 
     def test_same_member_identity(self):
         a = FamilyLabel("A2", (1, 2, 3), 5)
-        assert recipe_witness(a, a) == identity_perm(5)
+        assert recipe_witness(a, a) == (1, 2, 3, 4, 5)
 
     def test_c1_overlapping_indices(self):
         a = FamilyLabel("C1", (1, 3), 7)

@@ -20,7 +20,7 @@ from regalg.conjugacy import (
     maps_onto,
     permute_subalgebra,
 )
-from regalg.core import RegularSubalgebra, full_nil_set, h_pq_vector, parse_descriptor
+from regalg.core import RegularSubalgebra, full_nil_set, h_pq_vector, is_closed, parse_descriptor
 from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
 from regalg.invariants import CartanRecord, _root_pairs, cartan_record, signature
 from regalg.starcalc import generic_max_rank, min_rank
@@ -514,3 +514,20 @@ def test_classify_family_agrees_with_decide(members):
         assert (class_of[i] == class_of[j]) == decide(members[i], members[j]).is_conjugate
     for c, d, name in part.separators():
         assert name == decide(members[part.classes[c][0]], members[part.classes[d][0]]).separator
+    for i, j, sigma in part.witness_edges:
+        a, b = members[i], members[j]
+        assert sigma == bruteforce.witness_scan_exhaustive(a, b) == decide(a, b).witness
+
+
+@pytest.mark.parametrize("n, labeled, unlabeled", [(3, 7, 5), (4, 40, 16), (5, 357, 63), (6, 4824, 318)])
+def test_nilpotent_census_matches_the_poset_counts(n, labeled, unlabeled):
+    """The closed nil sets are the naturally labeled posets on 1..n (OEIS
+    A006455), and their conjugacy classes the unlabeled posets (OEIS
+    A000112)."""
+    census = [RegularSubalgebra(n, nil) for nil in bruteforce.closed_nil_sets(n)]
+    assert len(set(census)) == len(census) == labeled
+    assert all(is_closed(a) for a in census)
+    part = classify_family(census)
+    assert len(part.classes) == unlabeled
+    for i, j, sigma in part.witness_edges:
+        assert maps_onto(census[i], sigma, census[j])
