@@ -280,14 +280,11 @@ def classify_family(members) -> ClassPartition:
     separator of two classes is that of their signatures.
     """
     members = tuple(members)
-    if not members:
-        return ClassPartition((), (), (), (), ())
-    n = members[0].n
     sigs = []
     groups: dict[InvariantSignature, list[list[int]]] = {}  # classes per signature, in index order
     edges = []
     for idx, m in enumerate(members):
-        if m.n != n:
+        if m.n != members[0].n:
             raise DimensionMismatchError("members mix different n")
         sigs.append(signature(m))
         group = groups.setdefault(sigs[-1], [])

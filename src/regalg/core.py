@@ -258,8 +258,11 @@ def require_closed(algebra: RegularSubalgebra) -> None:
 def dimension_bound(algebra: RegularSubalgebra, missing: tuple[int, int]) -> int:
     """Largest possible dimension of a closed subalgebra avoiding E_ij.
 
-    n(n+1)/2 - (j-i) when diagonal generators participate, n(n-1)/2 - (j-i)
-    for purely nilpotent spans.  The bound is tight.
+    n(n-1)/2 - (j-i) for purely nilpotent spans, and n - 1 more, the
+    dimension of the diagonal part of sl(n), when diagonal generators
+    participate.  The bound is tight.  The published figure n(n+1)/2 - (j-i)
+    takes |H| = n, the same slip as the codim-1 dimension label that the
+    codim1-count check flags.
     """
     i, j = missing
     if not (1 <= i < j <= algebra.n):
@@ -267,9 +270,7 @@ def dimension_bound(algebra: RegularSubalgebra, missing: tuple[int, int]) -> int
     if (i, j) in algebra.nil_set:
         raise ValueError(f"position ({i},{j}) is present, not missing")
     n = algebra.n
-    if algebra.cartan_gens:
-        return n * (n + 1) // 2 - (j - i)
-    return n * (n - 1) // 2 - (j - i)
+    return n * (n - 1) // 2 - (j - i) + (n - 1 if algebra.cartan_gens else 0)
 
 
 # ── descriptor text format ──────────────────────────────────────────────

@@ -1,8 +1,10 @@
 """Enumeration of the named subalgebra families, with exhaustive oracles.
 
-The enumerators construct each family member explicitly; the oracles
-rediscover the same sets by brute-force closure scans and are used to
-audit both the constructions and the published closed-form counts.
+The codimension-1, codimension-2 and D/R/C enumerators build every member
+by one removal rule, _removal: the full solvable algebra less a set of nil
+positions and a set of diagonal generators H_k.  The oracles rediscover
+the same sets by brute-force closure scans and are used to audit both the
+constructions and the published closed-form counts.
 Published count formulas are report-only reference values, never the
 enumeration mechanism.  The published conjugators between labelled
 members are kept here too, as witness recipes read off the label
@@ -20,7 +22,6 @@ from .core import (
     Nil,
     RegularSubalgebra,
     bracket,
-    full_cartan,
     full_nil_set,
     h_vector,
     is_closed,
@@ -90,24 +91,21 @@ class FamilyLabel:
 Member = tuple[FamilyLabel, RegularSubalgebra]
 
 
+def _removal(n: int, units=(), hs=()) -> RegularSubalgebra:
+    """The full solvable algebra of sl(n) less the nil positions in units
+    and the generators H_k for k in hs: the one rule that builds every
+    codimension-1, codimension-2 and D/R/C member."""
+    gens = tuple(h_vector(n, k) for k in range(1, n) if k not in hs)
+    return RegularSubalgebra(n, full_nil_set(n) - set(units), gens)
+
+
 def enum_codim1(n: int) -> list[Member]:
     """The 2n-2 subalgebras one dimension below the full solvable algebra:
     drop one diagonal generator (L_i) or one superdiagonal unit (L_{i,i+1})."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    full_e = full_nil_set(n)
-    out: list[Member] = []
-    for i in range(1, n):
-        gens = tuple(h_vector(n, k) for k in range(1, n) if k != i)
-        out.append((
-            FamilyLabel("L", (i,), n),
-            RegularSubalgebra(n, full_e, gens),
-        ))
-    for i in range(1, n):
-        out.append((
-            FamilyLabel("Lii", (i,), n),
-            RegularSubalgebra(n, full_e - {(i, i + 1)}, full_cartan(n)),
-        ))
+    out = [(FamilyLabel("L", (i,), n), _removal(n, hs=(i,))) for i in range(1, n)]
+    out += [(FamilyLabel("Lii", (i,), n), _removal(n, {(i, i + 1)})) for i in range(1, n)]
     return out
 
 
@@ -117,31 +115,15 @@ def enum_codim2(n: int) -> list[Member]:
     N / N_R / N_C (two units dropped)."""
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
-    full_e = full_nil_set(n)
-    h = full_cartan(n)
-    out: list[Member] = []
-    for i, j in combinations(range(1, n), 2):
-        gens = tuple(h_vector(n, k) for k in range(1, n) if k not in (i, j))
-        out.append((FamilyLabel("P", (i, j), n), RegularSubalgebra(n, full_e, gens)))
-    for i in range(1, n):
-        for j in range(1, n):
-            gens = tuple(h_vector(n, k) for k in range(1, n) if k != j)
-            out.append((
-                FamilyLabel("M", (i, j), n),
-                RegularSubalgebra(n, full_e - {(i, i + 1)}, gens),
-            ))
-    for i, j in combinations(range(1, n), 2):
-        removed = {(i, i + 1), (j, j + 1)}
-        out.append((FamilyLabel("N", (i, j), n), RegularSubalgebra(n, full_e - removed, h)))
+    pairs = list(combinations(range(1, n), 2))
+    out = [(FamilyLabel("P", (i, j), n), _removal(n, hs=(i, j))) for i, j in pairs]
+    out += [(FamilyLabel("M", (i, j), n), _removal(n, {(i, i + 1)}, (j,)))
+            for i in range(1, n) for j in range(1, n)]
+    out += [(FamilyLabel("N", (i, j), n), _removal(n, {(i, i + 1), (j, j + 1)}))
+            for i, j in pairs]
     for i in range(1, n - 1):
-        out.append((
-            FamilyLabel("NR", (i,), n),
-            RegularSubalgebra(n, full_e - {(i, i + 1), (i, i + 2)}, h),
-        ))
-        out.append((
-            FamilyLabel("NC", (i,), n),
-            RegularSubalgebra(n, full_e - {(i, i + 2), (i + 1, i + 2)}, h),
-        ))
+        out.append((FamilyLabel("NR", (i,), n), _removal(n, {(i, i + 1), (i, i + 2)})))
+        out.append((FamilyLabel("NC", (i,), n), _removal(n, {(i, i + 2), (i + 1, i + 2)})))
     return out
 
 
@@ -308,8 +290,7 @@ def drc_removed_positions(n: int, kind: str, index: int, k: int) -> set[tuple[in
 def make_drc(n: int, kind: str, index: int, k: int) -> RegularSubalgebra:
     """Nilpotent span with a superdiagonal run (D), a row segment (R), or a
     column segment (C) removed; closed by construction and re-verified."""
-    removed = drc_removed_positions(n, kind, index, k)
-    algebra = RegularSubalgebra(n, full_nil_set(n) - removed, ())
+    algebra = _removal(n, drc_removed_positions(n, kind, index, k), range(1, n))
     if not is_closed(algebra):
         raise AssertionError(f"{kind}_{index}[k={k}] unexpectedly not closed")
     return algebra

@@ -34,10 +34,8 @@ def annihilator(rows, n: int) -> tuple[tuple[int, ...], ...]:
     its last nonzero coordinate.  The row span is exactly the set of
     vectors orthogonal to every basis vector: membership in it is a set of
     integer dot products, and two row sets span the same subspace iff their
-    annihilators are equal.  No rows: the unit basis, without a reduction.
+    annihilators are equal.  No rows: no pivots, L = 1, and the unit basis.
     """
-    if not rows:
-        return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
     pending = [list(row) for row in rows]
     reduced: list[list[int]] = []
     pivots: list[int] = []

@@ -71,8 +71,8 @@ def test_c02_codim2_counts():
 
 
 def test_c03_exhaustive_closure_oracle():
-    with criterion(3, 1.0, "exhaustive scan: codim-1/2 nilpotent patterns match the constructions"):
-        for n in range(3, 6):
+    with criterion(3, 1.0, "exhaustive removal slice: codim-1/2 nilpotent patterns match the constructions"):
+        for n in range(3, 9):
             oracle = check("codim2", "codim2-oracle", n)
             assert oracle.passed and not oracle.warnings  # ran, not skipped
 

@@ -333,8 +333,8 @@ class TestVerify:
         assert classes["result"] == "PASS"
 
     @pytest.mark.parametrize("n, digest", [
-        (4, "1987aed137e2fe252d6dcb2a802308d21133507b5e8bc671569e6b81a66fa0a6"),
-        (5, "7f74d5360b011852ea7ec1cc4d671c65b544f194efced95913f0f62879b8ce03"),
+        (4, "12a1f8d638862fb802279e81434e2365786a3189dd6f588314acc398c5aab268"),
+        (5, "0472c10cbb33cd62879a4457f4daab7147ecac54258e20749248bb345fd7cda7"),
     ])
     def test_all_suite_report_bytes(self, capsys, n, digest):
         # a change to these bytes is a change to the report: record it
@@ -351,9 +351,9 @@ class TestVerify:
         # a change to these bytes is a change to the report: record it
         _, out, _ = run(capsys, "verify", "--suite", "all", "--n", "6", "--format", "json")
         data = out.encode()
-        assert len(data) == 3_805
+        assert len(data) == 3_848
         assert hashlib.sha256(data).hexdigest() == (
-            "57655ac53690f1a3c421d51021c8371356161f52dcf49163318c229703249dfe")
+            "ed2459530277ea8a0fb9a69a47b53ca4dcd310cc10c66fe603fd153efb23268d")
 
     def test_kernels_suite_at_n2(self, capsys):
         code, report, _ = run_json(capsys, "verify", "--suite", "kernels", "--n", "2")

@@ -265,6 +265,10 @@ class TestClassifyFamily:
         with pytest.raises(DimensionMismatchError):
             classify_family([RegularSubalgebra(3), RegularSubalgebra(4)])
 
+    def test_no_members(self):
+        part = classify_family(())
+        assert part.to_json() == {"classes": [], "witnesses": [], "separators": [], "unresolved": []}
+
     def test_json_shape(self):
         part = classify_family([alg for _, alg in enum_codim1(3)])
         assert part.descriptors == tuple(m.descriptor() for m in part.members)

@@ -203,8 +203,20 @@ class TestClosure:
 
 class TestDimensionBound:
     def test_solvable_bound(self):
+        # the diagonal part of sl(4) has dimension 3: 6 - 3 + 3
         algebra = RegularSubalgebra(4, frozenset(), (h_vector(4, 1),))
-        assert dimension_bound(algebra, (1, 4)) == 7
+        assert dimension_bound(algebra, (1, 4)) == 6
+
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_solvable_bound_is_tight(self, n):
+        # with the full Cartan, the largest closed algebra missing (i,j) has
+        # the bound's dimension, and none has more
+        from regalg.families import enum_all_nilpotent_oracle
+
+        closed = [RegularSubalgebra(n, a.nil_set, full_cartan(n)) for a in enum_all_nilpotent_oracle(n)]
+        for i, j in full_nil_set(n):
+            bound = dimension_bound(RegularSubalgebra(n, frozenset(), full_cartan(n)), (i, j))
+            assert max(a.dim for a in closed if (i, j) not in a.nil_set) == bound
 
     def test_nilpotent_offdiagonal(self):
         assert dimension_bound(RegularSubalgebra(4), (1, 2)) == 5
