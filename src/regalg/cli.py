@@ -198,14 +198,8 @@ def cmd_invariants(args) -> dict:
 def cmd_decide(args) -> dict:
     a = parse_descriptor(args.descriptor_a)
     b = parse_descriptor(args.descriptor_b)
-    verdict = decide(a, b)
-    return {
-        "command": "decide",
-        "a": a.descriptor(),
-        "b": b.descriptor(),
-        **verdict.to_json(),
-        "rows": [{"a": a.descriptor(), "b": b.descriptor(), **verdict.to_json()}],
-    }
+    row = {"a": a.descriptor(), "b": b.descriptor(), **decide(a, b).to_json()}
+    return {"command": "decide", **row, "rows": [row]}
 
 
 def cmd_classify(args) -> dict:

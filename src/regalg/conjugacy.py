@@ -19,7 +19,9 @@ of the re-verification maps_onto, all of whose coordinates are already
 assigned, rules out every completion, so the witness found is the
 lexicographically first one.  Signatures are conjugation invariants:
 they reject most distinct pairs before any search and name the field
-that separates them.
+that separates them.  decide compares the two operands' fields in order
+and stops at the first that differs; classify_family compares whole
+signatures, memoized per member.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import DimensionMismatchError, RegularSubalgebra, _reach
-from .invariants import InvariantSignature, separate, signature
+from .invariants import InvariantSignature, first_difference, separate, signature
 
 PERM_SEARCH_MAX_N = 8
 NO_WITNESS = "noPermutationWitness"  # separator of equal signatures with no witness
@@ -200,13 +202,17 @@ def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
     when the signatures agree.  The search is complete and conjugacy needs
     a permutation witness (module docstring), so both verdicts are exact.
 
-    Signatures are compared first, at any n (signature rejects an operand
-    that is not closed); only equal signatures reach the witness search,
-    which is guarded at n <= PERM_SEARCH_MAX_N.
+    Signatures are compared first, at any n, field by field
+    (first_difference, which rejects an operand that is not closed): the
+    fields of both operands are computed in FIELD_ORDER until the first
+    that differs, so a DISTINCT verdict computes no field after its
+    separator, and the signature memo is neither read nor filled.  Only
+    equal signatures reach the witness search, which is guarded at
+    n <= PERM_SEARCH_MAX_N.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"operands have n={a.n} and n={b.n}")
-    name = separate(signature(a), signature(b))
+    name = first_difference(a, b)
     if name is not None:
         return ConjugacyVerdict("distinct", separator=name)
     if a.n > PERM_SEARCH_MAX_N:
@@ -222,7 +228,8 @@ class ClassPartition:
     """Partition of a member list into conjugacy classes, in report order:
     members by (descriptor, index), classes by their members' descriptors.
 
-    classes holds member indices and signatures one signature per class.
+    classes holds the member indices of each class, and signatures one
+    signature per class.
     witness_edges holds one (i, j, sigma) for every within-class pair i < j
     consecutive in index order: sigma is the lexicographically first
     permutation mapping member i onto member j, the witness decide prints,

@@ -81,7 +81,8 @@ class InvariantSignature:
     to_json = _to_json
 
 
-# Comparison order for separate(): (attribute, JSON key) per field.
+# Comparison order for separate() and first_difference(): (attribute,
+# JSON key) per field.
 FIELD_ORDER = tuple((f.name, _camel(f.name)) for f in fields(InvariantSignature))
 
 
@@ -138,6 +139,25 @@ def _empty_row_anchored_flag(algebra: RegularSubalgebra) -> bool:
     return bool(algebra.cartan_support & empty_rows)
 
 
+# One kernel per InvariantSignature field, in declaration order.  Series and
+# action sequences are taken on the maximal nilpotent part, whose pattern is
+# nil_rows (its transpose nil_cols for the column action); dim and the rank
+# fields see the whole algebra.  No field's value depends on another's.  Each
+# kernel looks its functions up in this module's namespace when called, so a
+# wrapper or patch on one of those names sees every call.
+_FIELD_KERNELS = {
+    "dim": lambda a: a.dim,
+    "nil_dim": lambda a: a.nil_dim,
+    "derived_dims": lambda a: tuple(derived_series_dims(a.nil_rows)),
+    "col_action_seq": lambda a: tuple(action_dim_seq(a.nil_cols)),
+    "row_action_seq": lambda a: tuple(action_dim_seq(a.nil_rows)),
+    "max_rank": lambda a: generic_max_rank(
+        tuple(row | a.cartan_support & 1 << i for i, row in enumerate(a.nil_rows))),
+    "min_rank": lambda a: min_rank(a) if a.dim else 0,
+    "cartan_signature": lambda a: tuple(sorted(cartan_record(a, p, q) for p, q in _root_pairs(a))),
+    "last_row_cartan_flag": _empty_row_anchored_flag,
+}
+
 # signatures kept for reuse: `verify --n 8` makes 1,282 calls on 789
 # algebras, so nothing it computes is evicted, and memory stays bounded in
 # a long-lived process
@@ -146,27 +166,10 @@ SIGNATURE_CACHE_SIZE = 4096
 
 @lru_cache(maxsize=SIGNATURE_CACHE_SIZE)
 def signature(algebra: RegularSubalgebra) -> InvariantSignature:
-    """Full invariant tuple of a closed subalgebra.
-
-    Series and action sequences are taken on the maximal nilpotent part,
-    whose pattern is nil_rows (its transpose nil_cols for the column
-    action); dim and the rank fields see the whole algebra.  Every field comes from an exact, deterministic kernel.
-    """
+    """Full invariant tuple of a closed subalgebra, every field from its
+    exact, deterministic kernel."""
     require_closed(algebra)
-    rows = algebra.nil_rows
-    records = tuple(sorted(cartan_record(algebra, p, q) for p, q in _root_pairs(algebra)))
-    support = algebra.cartan_support
-    return InvariantSignature(
-        dim=algebra.dim,
-        nil_dim=algebra.nil_dim,
-        derived_dims=tuple(derived_series_dims(rows)),
-        col_action_seq=tuple(action_dim_seq(algebra.nil_cols)),
-        row_action_seq=tuple(action_dim_seq(rows)),
-        max_rank=generic_max_rank(tuple(row | support & 1 << i for i, row in enumerate(rows))),
-        min_rank=min_rank(algebra) if algebra.dim else 0,
-        cartan_signature=records,
-        last_row_cartan_flag=_empty_row_anchored_flag(algebra),
-    )
+    return InvariantSignature(**{attr: kernel(algebra) for attr, kernel in _FIELD_KERNELS.items()})
 
 
 def separate(a: InvariantSignature, b: InvariantSignature) -> str | None:
@@ -174,5 +177,19 @@ def separate(a: InvariantSignature, b: InvariantSignature) -> str | None:
     differ, or None if they are equal."""
     for attr, name in FIELD_ORDER:
         if getattr(a, attr) != getattr(b, attr):
+            return name
+    return None
+
+
+def first_difference(a: RegularSubalgebra, b: RegularSubalgebra) -> str | None:
+    """separate(signature(a), signature(b)), field by field: each field of
+    both operands is computed in FIELD_ORDER, and none after the first that
+    differs.  Raises NotClosedError, for a and then for b, before any field
+    is computed.  Reads and fills no signature memo."""
+    require_closed(a)
+    require_closed(b)
+    for attr, name in FIELD_ORDER:
+        kernel = _FIELD_KERNELS[attr]
+        if kernel(a) != kernel(b):
             return name
     return None

@@ -4,13 +4,14 @@ from itertools import combinations, pairwise
 
 import pytest
 
-from regalg import conjugacy, core
+from regalg import conjugacy, core, invariants
 from regalg.core import (
     DimensionMismatchError,
     NotClosedError,
     RegularSubalgebra,
     full_nil_set,
     h_vector,
+    parse_descriptor,
 )
 from regalg.conjugacy import (
     NO_WITNESS,
@@ -31,9 +32,10 @@ from regalg.families import (
     perm_from_partial,
     recipe_witness,
 )
-from regalg.invariants import signature
+from regalg.invariants import FIELD_ORDER, signature
 
 import bruteforce
+from wide_spans import WIDE_SPAN_G12
 
 
 def nil_algebra(n, removed):
@@ -203,6 +205,60 @@ class TestDecide:
             else:
                 assert verdict.kind == "distinct"
                 assert (verdict.separator == NO_WITNESS) == (signature(a) == signature(b))
+
+
+class TestDecideStopsAtTheSeparator:
+    """decide computes no signature field after the one that separates,
+    and none at all before both operands are known to be closed."""
+
+    @pytest.fixture
+    def no_late_fields(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a field after the separator was computed")
+
+        monkeypatch.setattr(invariants, "min_rank", fail)
+        monkeypatch.setattr(invariants, "cartan_record", fail)
+
+    def test_derived_dims_separator(self, no_late_fields):
+        members = {lab.text(): alg for lab, alg in enum_codim2(5)}
+        a = RegularSubalgebra(5, members["N_{1,2}"].nil_set)
+        b = RegularSubalgebra(5, members["N_{2,3}"].nil_set)
+        assert decide(a, b).separator == "derivedDims"
+
+    def test_max_rank_separator(self, no_late_fields):
+        members = {lab.text(): alg for lab, alg in enum_codim1(4)}
+        assert decide(members["L_1"], members["L_2"]).separator == "maxRank"
+
+    def test_wide_span_at_n20(self, no_late_fields):
+        # both spans have 12 generators; the second is zero at coordinate
+        # 20, so the support patterns differ in size, and min_rank, whose
+        # search is slowest on spans like the first, is never run
+        a = parse_descriptor(WIDE_SPAN_G12[0])
+        b = RegularSubalgebra(20, (), [h_vector(20, k) for k in range(1, 13)])
+        verdict = decide(a, b)
+        assert verdict.kind == "distinct" and verdict.separator == "maxRank"
+
+    def test_signature_memo_untouched(self):
+        members = {lab.text(): alg for lab, alg in enum_codim1(5)}
+        before = signature.cache_info()
+        assert decide(members["L_2"], members["L_3"]).separator == "cartanSignature"
+        assert decide(members["L_2"], members["L_2"]).is_conjugate
+        assert signature.cache_info() == before
+
+    def test_closure_of_both_operands_checked_before_any_field(self, monkeypatch):
+        def fail(algebra):
+            raise AssertionError("a field was computed before the closure checks")
+
+        monkeypatch.setattr(invariants, "_FIELD_KERNELS", {attr: fail for attr, _ in FIELD_ORDER})
+        a = RegularSubalgebra(3, {(1, 3)})
+        b = RegularSubalgebra(3, {(1, 2), (2, 3)})
+        with pytest.raises(NotClosedError) as info:
+            decide(a, b)
+        assert info.value.descriptor == b.descriptor()
+        # with neither closed, the first operand is named
+        with pytest.raises(NotClosedError) as info:
+            decide(b, RegularSubalgebra(3, {(1, 2), (2, 3)}, [h_vector(3, 1)]))
+        assert info.value.descriptor == b.descriptor()
 
 
 class TestClassifyFamily:

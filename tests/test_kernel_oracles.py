@@ -5,7 +5,7 @@ annihilator, minimum rank by the column matroid's hyperplanes, and the
 pruned witness search by the full n! scan; and the soundness of
 signatures and verdicts under relabeling."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,7 +22,14 @@ from regalg.conjugacy import (
 )
 from regalg.core import RegularSubalgebra, full_nil_set, h_pq_vector, is_closed, parse_descriptor
 from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
-from regalg.invariants import CartanRecord, _root_pairs, cartan_record, signature
+from regalg.invariants import (
+    CartanRecord,
+    _root_pairs,
+    cartan_record,
+    first_difference,
+    separate,
+    signature,
+)
 from regalg.starcalc import generic_max_rank, min_rank
 
 import bruteforce
@@ -517,6 +524,45 @@ def test_classify_family_agrees_with_decide(members):
     for i, j, sigma in part.witness_edges:
         a, b = members[i], members[j]
         assert sigma == bruteforce.witness_scan_exhaustive(a, b) == decide(a, b).witness
+
+
+@st.composite
+def relabeled_copies(draw):
+    """A closed algebra at n <= 7 and up to three relabeled copies, each in
+    half the draws with another span of up to as many generators on the
+    relabeled nil set: every nil field agrees, so a pair of equal dim
+    differs, if at all, from maxRank on."""
+    a = draw(closed_algebras(max_n=7))
+    members = [a]
+    for _ in range(draw(st.integers(1, 3))):
+        b = permute_subalgebra(a, draw(upper_relabelings(a)))
+        if draw(st.booleans()):
+            b = RegularSubalgebra(a.n, b.nil_set, draw(cartan_spans(a.n, st.just(len(a.cartan_gens)))))
+        members.append(b)
+    return members
+
+
+def assert_first_difference_is_separate(members):
+    """The early-stopping comparison names the field that the full
+    comparison of uncached signatures names, over every ordered pair."""
+    sigs = [signature.__wrapped__(m) for m in members]
+    for (a, sig_a), (b, sig_b) in product(zip(members, sigs), repeat=2):
+        assert first_difference(a, b) == separate(sig_a, sig_b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabeled_copies())
+@example([parse_descriptor("n=3; nil=(1,3),(2,3); cartan=H1"),  # differ in the last field only
+          parse_descriptor("n=3; nil=(1,3),(2,3); cartan=H2")])
+def test_first_difference_is_the_full_comparison(members):
+    assert_first_difference_is_separate(members)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_first_difference_is_the_full_comparison_over_families(n):
+    families = [enum_codim1(n), enum_codim2(n), enum_dim2(n)] + [enum_drc(n, k) for k in range(1, n)]
+    for members in families:
+        assert_first_difference_is_separate([alg for _, alg in members])
 
 
 @pytest.mark.parametrize("n, labeled, unlabeled", [(3, 7, 5), (4, 40, 16), (5, 357, 63), (6, 4824, 318)])
