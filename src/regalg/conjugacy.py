@@ -17,11 +17,15 @@ The search runs depth first in lexicographic order, cutting a partial
 assignment only when the nil relation, the nil degrees or a dot product
 of the re-verification maps_onto, all of whose coordinates are already
 assigned, rules out every completion, so the witness found is the
-lexicographically first one.  Signatures are conjugation invariants:
-they reject most distinct pairs before any search and name the field
-that separates them.  decide compares the two operands' fields in order
-and stops at the first that differs; classify_family compares whole
-signatures, memoized per member.
+lexicographically first one.  Its first descent, which takes the first
+target that passes at each depth, reaches that witness for most
+conjugate pairs, so decide runs it before any invariant and answers them
+from it.  Signatures are conjugation invariants: they separate the
+distinct pairs and name the field that separates them.  When the descent
+dead-ends, decide compares the two operands' fields in order, stops at
+the first that differs, and resumes the same search only when they all
+agree; classify_family compares whole signatures, memoized per member,
+before it searches.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import DimensionMismatchError, RegularSubalgebra, _reach
+from .core import DimensionMismatchError, RegularSubalgebra, _reach, require_closed
 from .invariants import InvariantSignature, first_difference, separate, signature
 
 PERM_SEARCH_MAX_N = 8
@@ -73,7 +77,7 @@ def permute_subalgebra(algebra: RegularSubalgebra, sigma) -> RegularSubalgebra |
 def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
     """The relabeling sigma carries a onto b, i.e.
     permute_subalgebra(a, sigma) == b, checked without building the image.
-    Every witness is re-verified through this check, in _witness, before it
+    Every witness is re-verified through this check, in _verified, before it
     is reported.
 
     Proof.  Take equal n, nil-set sizes and generator counts.  The image nil
@@ -99,8 +103,10 @@ def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
     return True
 
 
-def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
-    """Lexicographically first permutation mapping a onto b, or None.
+def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm | None]:
+    """The witness search: yields None once, when its first descent dead-ends,
+    and the lexicographically first permutation mapping a onto b when it
+    reaches it; ends without a witness when there is none.
 
     Depth-first search assigning sigma(1), sigma(2), ... in turn, trying
     targets in increasing order.  A prefix sigma(1..k) is extended only
@@ -125,53 +131,84 @@ def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
     fails a check that every completion would fail too, so no witness is
     cut, and the first leaf reached is the first witness of the
     lexicographic scan over all n! permutations.
+
+    The first descent is the search up to its first backtrack: at each
+    depth it takes the first target that passes, so it visits at most n
+    nodes.  A leaf it reaches is reached before any backtrack, so it is the
+    search's first leaf, the first witness; a descent that dead-ends yields
+    None, and the next step of the generator resumes the same search from
+    that dead end.
     """
     n = a.n
-    if len(a.cartan_gens) != len(b.cartan_gens) or len(a.nil_set) != len(b.nil_set):
-        return None
+    gens = b.cartan_gens
+    if len(a.cartan_gens) != len(gens) or len(a.nil_set) != len(b.nil_set):
+        return
     a_out, b_out = a.nil_rows, b.nil_rows
     a_in, b_in = a.nil_cols, b.nil_cols
-    a_colour = [(a_out[i].bit_count(), a_in[i].bit_count(), a.cartan_support >> i & 1) for i in range(n)]
-    b_colour = [(b_out[t].bit_count(), b_in[t].bit_count(), b.cartan_support >> t & 1) for t in range(n)]
+    shift = n.bit_length()  # in-degrees are below n
+    a_colour = [(a_out[i].bit_count() << shift | a_in[i].bit_count()) << 1 | a.cartan_support >> i & 1
+                for i in range(n)]
+    b_colour = [(b_out[t].bit_count() << shift | b_in[t].bit_count()) << 1 | b.cartan_support >> t & 1
+                for t in range(n)]
     if sorted(a_colour) != sorted(b_colour):
-        return None
-    candidates = [[t for t in range(n) if b_colour[t] == a_colour[k]] for k in range(n)]
+        return
+    targets_of: dict[int, list[int]] = {}  # the targets of each colour, increasing
+    for t, colour in enumerate(b_colour):
+        targets_of.setdefault(colour, []).append(t)
+    candidates = [targets_of[colour] for colour in a_colour]
     ending: list[tuple[int, ...] | None] = [None] * n  # the row of a.cartan_null that ends at k
-    if b.cartan_gens:  # else a has no generators either, and every Cartan check is vacuous
+    if gens:  # else a has no generators either, and every Cartan check is vacuous
         for row in a.cartan_null:
             ending[max(k for k, x in enumerate(row) if x)] = row
     sigma = [0] * n
     sigma_bit = [0] * n  # 1 << sigma[k]
-
-    def extend(k: int, used: int) -> bool:
-        if k == n:
-            return True
-        prefix = (1 << k) - 1
-        want_out = _reach(sigma_bit, a_out[k] & prefix)
-        want_in = _reach(sigma_bit, a_in[k] & prefix)
-        row = ending[k]
-        if row is not None:
-            head = [sum(x * w[s] for x, s in zip(row, sigma[:k])) for w in b.cartan_gens]
-        for t in candidates[k]:
+    paused = []  # per assigned depth: its untried targets and what they must meet
+    k = used = 0
+    descending = True  # no backtrack yet
+    targets = None
+    while True:
+        if targets is None:  # entering depth k with sigma(1..k) assigned
+            prefix = (1 << k) - 1
+            want_out = _reach(sigma_bit, a_out[k] & prefix)
+            want_in = _reach(sigma_bit, a_in[k] & prefix)
+            row = ending[k]
+            head = None if row is None else [sum(x * w[s] for x, s in zip(row, sigma[:k])) for w in gens]
+            targets = iter(candidates[k])
+        for t in targets:
             if used >> t & 1 or b_out[t] & used != want_out or b_in[t] & used != want_in:
                 continue
-            if row is not None and any(row[k] * w[t] + h for w, h in zip(b.cartan_gens, head)):
+            if row is not None and any(row[k] * w[t] + h for w, h in zip(gens, head)):
                 continue
-            sigma[k], sigma_bit[k] = t, 1 << t
-            if extend(k + 1, used | 1 << t):
-                return True
-        return False
+            break
+        else:  # depth k is exhausted: back up one depth
+            if descending:
+                descending = False
+                yield None
+            if not k:
+                return
+            k -= 1
+            used ^= sigma_bit[k]
+            targets, want_out, want_in, row, head = paused.pop()
+            continue
+        sigma[k], sigma_bit[k] = t, 1 << t
+        if k == n - 1:
+            yield tuple(t + 1 for t in sigma)
+            return
+        paused.append((targets, want_out, want_in, row, head))
+        used |= 1 << t
+        k += 1
+        targets = None
 
-    if not extend(0, 0):
-        return None
-    return tuple(t + 1 for t in sigma)
+
+def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
+    """Lexicographically first permutation mapping a onto b, or None: the
+    whole witness search."""
+    return next(filter(None, _witness_search(a, b)), None)
 
 
-def _witness(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
-    """The lexicographically first permutation mapping a onto b, re-verified
-    by maps_onto, or None.  A scan result that fails re-verification raises
-    AssertionError."""
-    sigma = _witness_scan(a, b)
+def _verified(a: RegularSubalgebra, sigma: Perm | None, b: RegularSubalgebra) -> Perm | None:
+    """sigma, a search result, once maps_onto confirms it; a result that
+    fails re-verification raises AssertionError."""
     if sigma is not None and not maps_onto(a, sigma, b):
         raise AssertionError("witness failed re-verification")
     return sigma
@@ -202,25 +239,34 @@ def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
     when the signatures agree.  The search is complete and conjugacy needs
     a permutation witness (module docstring), so both verdicts are exact.
 
-    Signatures are compared first, at any n, field by field
-    (first_difference, which rejects an operand that is not closed): the
-    fields of both operands are computed in FIELD_ORDER until the first
-    that differs, so a DISTINCT verdict computes no field after its
-    separator, and the signature memo is neither read nor filled.  Only
-    equal signatures reach the witness search, which is guarded at
-    n <= PERM_SEARCH_MAX_N.
+    Both operands' closure is checked first (NotClosedError names a, then
+    b).  At n <= PERM_SEARCH_MAX_N the witness search's first descent runs
+    next: a leaf it reaches is the lexicographically first witness
+    (_witness_search), reported without any signature field.  Otherwise the
+    fields are compared (first_difference: both operands' fields in
+    FIELD_ORDER until the first that differs, so a DISTINCT verdict
+    computes no field after its separator, and the signature memo is
+    neither read nor filled), and only equal signatures resume the same
+    search from its dead end.  Every witness is re-verified by maps_onto.
+    Above the guard, equal signatures raise ValueError.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"operands have n={a.n} and n={b.n}")
-    name = first_difference(a, b)
-    if name is not None:
-        return ConjugacyVerdict("distinct", separator=name)
-    if a.n > PERM_SEARCH_MAX_N:
-        raise ValueError(f"witness search guarded at n <= {PERM_SEARCH_MAX_N}, got n={a.n}")
-    sigma = _witness(a, b)
+    require_closed(a)
+    require_closed(b)
+    guarded = a.n > PERM_SEARCH_MAX_N
+    search = _witness_search(a, b)
+    sigma = None if guarded else next(search, None)
     if sigma is None:
-        return ConjugacyVerdict("distinct", separator=NO_WITNESS)
-    return ConjugacyVerdict("conjugate", witness=sigma)
+        name = first_difference(a, b)
+        if name is not None:
+            return ConjugacyVerdict("distinct", separator=name)
+        if guarded:
+            raise ValueError(f"witness search guarded at n <= {PERM_SEARCH_MAX_N}, got n={a.n}")
+        sigma = next(search, None)
+        if sigma is None:
+            return ConjugacyVerdict("distinct", separator=NO_WITNESS)
+    return ConjugacyVerdict("conjugate", witness=_verified(a, sigma, b))
 
 
 @dataclass(frozen=True)
@@ -296,7 +342,8 @@ def classify_family(members) -> ClassPartition:
         sigs.append(signature(m))
         group = groups.setdefault(sigs[-1], [])
         for cls in group:
-            sigma = _witness(members[cls[-1]], m)
+            last = members[cls[-1]]
+            sigma = _verified(last, _witness_scan(last, m), m)
             if sigma is not None:
                 edges.append((cls[-1], idx, sigma))
                 cls.append(idx)

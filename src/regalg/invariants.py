@@ -184,10 +184,8 @@ def separate(a: InvariantSignature, b: InvariantSignature) -> str | None:
 def first_difference(a: RegularSubalgebra, b: RegularSubalgebra) -> str | None:
     """separate(signature(a), signature(b)), field by field: each field of
     both operands is computed in FIELD_ORDER, and none after the first that
-    differs.  Raises NotClosedError, for a and then for b, before any field
-    is computed.  Reads and fills no signature memo."""
-    require_closed(a)
-    require_closed(b)
+    differs.  Reads and fills no signature memo, and checks no closure:
+    decide, its caller, checks both operands before it compares them."""
     for attr, name in FIELD_ORDER:
         kernel = _FIELD_KERNELS[attr]
         if kernel(a) != kernel(b):

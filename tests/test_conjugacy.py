@@ -249,7 +249,11 @@ class TestDecideStopsAtTheSeparator:
         def fail(algebra):
             raise AssertionError("a field was computed before the closure checks")
 
+        def no_search(x, y):
+            raise AssertionError("the witness search ran before the closure checks")
+
         monkeypatch.setattr(invariants, "_FIELD_KERNELS", {attr: fail for attr, _ in FIELD_ORDER})
+        monkeypatch.setattr(conjugacy, "_witness_search", no_search)
         a = RegularSubalgebra(3, {(1, 3)})
         b = RegularSubalgebra(3, {(1, 2), (2, 3)})
         with pytest.raises(NotClosedError) as info:
@@ -259,6 +263,57 @@ class TestDecideStopsAtTheSeparator:
         with pytest.raises(NotClosedError) as info:
             decide(b, RegularSubalgebra(3, {(1, 2), (2, 3)}, [h_vector(3, 1)]))
         assert info.value.descriptor == b.descriptor()
+
+
+class TestDecideAnswersFromTheFirstDescent:
+    """decide runs the witness search's first descent before any signature
+    field, and resumes that search only when the fields agree."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        # every value the witness search yields to decide
+        search, seen = conjugacy._witness_search, []
+
+        def recording(a, b):
+            for step in search(a, b):
+                seen.append(step)
+                yield step
+
+        monkeypatch.setattr(conjugacy, "_witness_search", recording)
+        return seen
+
+    def test_descent_leaf_needs_no_field(self, monkeypatch, steps):
+        def fail(algebra):
+            raise AssertionError("a field was computed for a pair the descent answers")
+
+        monkeypatch.setattr(invariants, "_FIELD_KERNELS", {attr: fail for attr, _ in FIELD_ORDER})
+        for text, sigma in [("n=5; nil=(1,2),(1,3),(2,3),(4,5); cartan=H1,H4", (1, 3, 4, 2, 5)),
+                            ("n=6; nil=(1,4),(1,6),(2,4),(2,6),(3,5),(3,6),(4,6); cartan=H2,H[3,5]",
+                             (1, 2, 4, 3, 6, 5))]:
+            a = parse_descriptor(text)
+            b = permute_subalgebra(a, sigma)
+            steps.clear()
+            verdict = decide(a, b)
+            assert verdict.is_conjugate
+            assert verdict.witness == bruteforce.witness_scan_exhaustive(a, b) == steps[0]
+            assert steps == [verdict.witness]
+
+    def test_dead_end_resumes_the_same_search(self, steps):
+        # the descent sends 1 -> 1 and finds no target for 2, so the
+        # witness comes from the search resumed there
+        a = parse_descriptor("n=5; nil=(1,2),(3,5),(4,5)")
+        b = parse_descriptor("n=5; nil=(1,5),(2,3),(4,5)")
+        verdict = decide(a, b)
+        assert verdict.witness == (2, 3, 1, 4, 5) == bruteforce.witness_scan_exhaustive(a, b)
+        assert steps == [None, (2, 3, 1, 4, 5)]
+
+    def test_dead_end_then_field_separator(self, steps):
+        # the spans of L_2 and L_3 admit no descent past the Cartan check;
+        # the fields separate them, and the search is not resumed
+        members = {lab.text(): alg for lab, alg in enum_codim1(5)}
+        verdict = decide(members["L_2"], members["L_3"])
+        assert verdict.kind == "distinct" and verdict.separator == "cartanSignature"
+        assert steps == [None]
 
 
 class TestClassifyFamily:
@@ -301,14 +356,17 @@ class TestClassifyFamily:
                 assert sigma == bruteforce.witness_scan_exhaustive(a, b) == decide(a, b).witness
 
     def test_scan_result_is_reverified(self, monkeypatch):
-        # a scan result that is no witness raises in decide and in classify
+        # a search result that is no witness raises in decide, from the
+        # first descent and from the search resumed after it, and in classify
         a, b = nil_algebra(4, [(1, 3), (2, 3)]), nil_algebra(4, [(1, 2), (2, 3)])
         assert not maps_onto(a, (4, 3, 2, 1), b)
-        monkeypatch.setattr(conjugacy, "_witness_scan", lambda x, y: (4, 3, 2, 1))
-        with pytest.raises(AssertionError, match="re-verification"):
-            decide(a, b)
-        with pytest.raises(AssertionError, match="re-verification"):
-            classify_family([a, b])
+        assert signature(a) == signature(b)  # so decide resumes the search
+        for steps in ([(4, 3, 2, 1)], [None, (4, 3, 2, 1)]):
+            monkeypatch.setattr(conjugacy, "_witness_search", lambda x, y: iter(steps))
+            with pytest.raises(AssertionError, match="re-verification"):
+                decide(a, b)
+            with pytest.raises(AssertionError, match="re-verification"):
+                classify_family([a, b])
 
     def test_cross_pairs_covered(self):
         # one separator per pair of classes, each pair exactly once

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from regalg import linalg
 from regalg.conjugacy import (
     NO_WITNESS,
+    ConjugacyVerdict,
     _witness_scan,
     classify_family,
     decide,
@@ -563,6 +564,35 @@ def test_first_difference_is_the_full_comparison_over_families(n):
     families = [enum_codim1(n), enum_codim2(n), enum_dim2(n)] + [enum_drc(n, k) for k in range(1, n)]
     for members in families:
         assert_first_difference_is_separate([alg for _, alg in members])
+
+
+def assert_decide_is_fields_first(members):
+    """decide, which runs the witness search's first descent before any
+    field, gives every ordered pair the verdict of the fields-first
+    reference: first_difference, then the full n! scan."""
+    for a, b in product(members, repeat=2):
+        name = first_difference(a, b)
+        sigma = None if name else bruteforce.witness_scan_exhaustive(a, b)
+        if sigma is None:
+            expected = ConjugacyVerdict("distinct", separator=name or NO_WITNESS)
+        else:
+            expected = ConjugacyVerdict("conjugate", witness=sigma)
+        assert decide(a, b) == expected, (a.descriptor(), b.descriptor())
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabeled_copies())
+@example([parse_descriptor("n=5; nil=(1,2),(3,5),(4,5)"),  # the descent dead-ends at 2
+          parse_descriptor("n=5; nil=(1,5),(2,3),(4,5)")])
+def test_decide_is_the_fields_first_comparison(members):
+    assert_decide_is_fields_first(members)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_decide_is_the_fields_first_comparison_over_families(n):
+    families = [enum_codim1(n), enum_codim2(n), enum_dim2(n)] + [enum_drc(n, k) for k in range(1, n)]
+    for members in families:
+        assert_decide_is_fields_first([alg for _, alg in members])
 
 
 @pytest.mark.parametrize("n, labeled, unlabeled", [(3, 7, 5), (4, 40, 16), (5, 357, 63), (6, 4824, 318)])
