@@ -37,7 +37,7 @@ from itertools import combinations
 from .core import DimensionMismatchError, RegularSubalgebra, _reach, require_closed
 from .invariants import InvariantSignature, first_difference, separate, signature
 
-PERM_SEARCH_MAX_N = 8
+PERM_SEARCH_MAX_N = 8  # bounds decide's resumed backtracking search only
 NO_WITNESS = "noPermutationWitness"  # separator of equal signatures with no witness
 
 Perm = tuple[int, ...]  # sigma[i-1] is the image of i, values 1..n
@@ -240,28 +240,28 @@ def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
     a permutation witness (module docstring), so both verdicts are exact.
 
     Both operands' closure is checked first (NotClosedError names a, then
-    b).  At n <= PERM_SEARCH_MAX_N the witness search's first descent runs
-    next: a leaf it reaches is the lexicographically first witness
-    (_witness_search), reported without any signature field.  Otherwise the
-    fields are compared (first_difference: both operands' fields in
-    FIELD_ORDER until the first that differs, so a DISTINCT verdict
-    computes no field after its separator, and the signature memo is
-    neither read nor filled), and only equal signatures resume the same
-    search from its dead end.  Every witness is re-verified by maps_onto.
-    Above the guard, equal signatures raise ValueError.
+    b).  The witness search's first descent runs next, at every n: it
+    visits at most n nodes, and a leaf it reaches is the lexicographically
+    first witness (_witness_search), reported without any signature field.
+    Otherwise the fields are compared (first_difference: both operands'
+    fields in FIELD_ORDER until the first that differs, so a DISTINCT
+    verdict computes no field after its separator, and the signature memo
+    is neither read nor filled), and only equal signatures resume the same
+    search from its dead end, the one unbounded step: above
+    PERM_SEARCH_MAX_N it raises ValueError instead.  Every witness is
+    re-verified by maps_onto.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"operands have n={a.n} and n={b.n}")
     require_closed(a)
     require_closed(b)
-    guarded = a.n > PERM_SEARCH_MAX_N
     search = _witness_search(a, b)
-    sigma = None if guarded else next(search, None)
+    sigma = next(search, None)
     if sigma is None:
         name = first_difference(a, b)
         if name is not None:
             return ConjugacyVerdict("distinct", separator=name)
-        if guarded:
+        if a.n > PERM_SEARCH_MAX_N:
             raise ValueError(f"witness search guarded at n <= {PERM_SEARCH_MAX_N}, got n={a.n}")
         sigma = next(search, None)
         if sigma is None:

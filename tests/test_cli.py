@@ -206,7 +206,10 @@ class TestDecide:
         code, report, _ = run_json(capsys, "decide", "n=9; nil=(1,2)", "n=9; nil=(1,2),(2,3),(1,3)")
         assert code == 0
         assert report["verdict"] == "DISTINCT" and report["separator"] == "dim"
-        code, _, err = run(capsys, "decide", "n=9; nil=(1,2)", "n=9; nil=(2,3)")
+        code, report, _ = run_json(capsys, "decide", "n=9; nil=(1,2)", "n=9; nil=(2,3)")
+        assert code == 0
+        assert report["verdict"] == "CONJUGATE" and report["witness"] == [2, 3, 1, 4, 5, 6, 7, 8, 9]
+        code, _, err = run(capsys, "decide", "n=9; nil=(1,2),(3,5),(4,5)", "n=9; nil=(1,5),(2,3),(4,5)")
         assert code == 2 and "guarded at n <= 8" in err
 
 

@@ -115,9 +115,15 @@ class TestPermConjugate:
 
     def test_signatures_compared_above_search_guard(self):
         a = RegularSubalgebra(9, {(1, 2)})
-        assert decide(a, RegularSubalgebra(9, {(1, 2), (1, 3), (2, 3)})).witness is None
-        with pytest.raises(ValueError, match="guarded"):
-            decide(a, RegularSubalgebra(9, {(2, 3)}))
+        verdict = decide(a, RegularSubalgebra(9, {(1, 2), (1, 3), (2, 3)}))
+        assert verdict.witness is None and verdict.separator == "dim"
+        # the first descent runs at every n and reaches this witness
+        assert decide(a, RegularSubalgebra(9, {(2, 3)})).witness == (2, 3, 1, 4, 5, 6, 7, 8, 9)
+        # this descent dead-ends at 2 and the fields agree: only the
+        # resumed search is guarded
+        with pytest.raises(ValueError, match="guarded at n <= 8, got n=9"):
+            decide(parse_descriptor("n=9; nil=(1,2),(3,5),(4,5)"),
+                   parse_descriptor("n=9; nil=(1,5),(2,3),(4,5)"))
 
     def test_requires_closed(self):
         with pytest.raises(NotClosedError):
@@ -297,6 +303,15 @@ class TestDecideAnswersFromTheFirstDescent:
             assert verdict.is_conjugate
             assert verdict.witness == bruteforce.witness_scan_exhaustive(a, b) == steps[0]
             assert steps == [verdict.witness]
+
+    def test_descent_leaf_above_the_search_guard(self, monkeypatch, steps):
+        def fail(algebra):
+            raise AssertionError("a field was computed for a pair the descent answers")
+
+        monkeypatch.setattr(invariants, "_FIELD_KERNELS", {attr: fail for attr, _ in FIELD_ORDER})
+        verdict = decide(parse_descriptor("n=20; nil=(1,2)"), parse_descriptor("n=20; nil=(2,3)"))
+        assert verdict.witness == (2, 3, 1, *range(4, 21))
+        assert steps == [verdict.witness]
 
     def test_dead_end_resumes_the_same_search(self, steps):
         # the descent sends 1 -> 1 and finds no target for 2, so the

@@ -16,6 +16,7 @@ from regalg.conjugacy import (
     NO_WITNESS,
     ConjugacyVerdict,
     _witness_scan,
+    _witness_search,
     classify_family,
     decide,
     maps_onto,
@@ -425,9 +426,9 @@ def test_family_members_match_the_oracles(n):
             assert _witness_scan(a, b) == bruteforce.witness_scan_by_rref(a, b)
 
 
-def relabeled_algebras(max_n):
+def relabeled_algebras(max_n, min_n=2):
     """A closed algebra and a permutation that keeps it upper triangular."""
-    return closed_algebras(max_n).flatmap(lambda a: st.tuples(st.just(a), upper_relabelings(a)))
+    return closed_algebras(max_n, min_n).flatmap(lambda a: st.tuples(st.just(a), upper_relabelings(a)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -448,6 +449,26 @@ def test_relabeled_copy_is_decided_conjugate(pair):
     assert verdict.kind == "conjugate"
     image = permute_subalgebra(a, verdict.witness)
     assert image == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabeled_algebras(max_n=12, min_n=9))
+def test_decide_above_the_search_guard_answers_from_the_first_descent(pair):
+    """Above PERM_SEARCH_MAX_N, decide answers a relabeled copy exactly
+    when the witness search's first descent reaches a leaf, with that
+    leaf; when it dead-ends the fields agree, and the resumed search is
+    guarded."""
+    a, sigma = pair
+    b = permute_subalgebra(a, sigma)
+    step = next(_witness_search(a, b), None)
+    if step is None:
+        with pytest.raises(ValueError, match=f"guarded at n <= 8, got n={a.n}"):
+            decide(a, b)
+    else:
+        verdict = decide(a, b)
+        assert verdict.kind == "conjugate"
+        assert verdict.witness == step == _witness_scan(a, b)
+        assert permute_subalgebra(a, verdict.witness) == b
 
 
 @settings(max_examples=100, deadline=None)
@@ -543,35 +564,16 @@ def relabeled_copies(draw):
     return members
 
 
-def assert_first_difference_is_separate(members):
-    """The early-stopping comparison names the field that the full
-    comparison of uncached signatures names, over every ordered pair."""
+def assert_decide_is_fields_first(members):
+    """Over every ordered pair: the early-stopping comparison names the
+    field that the full comparison of uncached signatures names, and
+    decide, which runs the witness search's first descent before any
+    field, gives the verdict of the fields-first reference:
+    first_difference, then the full n! scan."""
     sigs = [signature.__wrapped__(m) for m in members]
     for (a, sig_a), (b, sig_b) in product(zip(members, sigs), repeat=2):
-        assert first_difference(a, b) == separate(sig_a, sig_b)
-
-
-@settings(max_examples=150, deadline=None)
-@given(relabeled_copies())
-@example([parse_descriptor("n=3; nil=(1,3),(2,3); cartan=H1"),  # differ in the last field only
-          parse_descriptor("n=3; nil=(1,3),(2,3); cartan=H2")])
-def test_first_difference_is_the_full_comparison(members):
-    assert_first_difference_is_separate(members)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_first_difference_is_the_full_comparison_over_families(n):
-    families = [enum_codim1(n), enum_codim2(n), enum_dim2(n)] + [enum_drc(n, k) for k in range(1, n)]
-    for members in families:
-        assert_first_difference_is_separate([alg for _, alg in members])
-
-
-def assert_decide_is_fields_first(members):
-    """decide, which runs the witness search's first descent before any
-    field, gives every ordered pair the verdict of the fields-first
-    reference: first_difference, then the full n! scan."""
-    for a, b in product(members, repeat=2):
         name = first_difference(a, b)
+        assert name == separate(sig_a, sig_b), (a.descriptor(), b.descriptor())
         sigma = None if name else bruteforce.witness_scan_exhaustive(a, b)
         if sigma is None:
             expected = ConjugacyVerdict("distinct", separator=name or NO_WITNESS)
@@ -582,6 +584,8 @@ def assert_decide_is_fields_first(members):
 
 @settings(max_examples=150, deadline=None)
 @given(relabeled_copies())
+@example([parse_descriptor("n=3; nil=(1,3),(2,3); cartan=H1"),  # differ in the last field only
+          parse_descriptor("n=3; nil=(1,3),(2,3); cartan=H2")])
 @example([parse_descriptor("n=5; nil=(1,2),(3,5),(4,5)"),  # the descent dead-ends at 2
           parse_descriptor("n=5; nil=(1,5),(2,3),(4,5)")])
 def test_decide_is_the_fields_first_comparison(members):
