@@ -124,8 +124,9 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
       maps_onto makes for alpha: sum over p of alpha_p * w[sigma(p)] = 0.
       With no generators (nil-only a and b) there is nothing to check.
 
-    With equal nil counts, a full assignment maps the nil set of a exactly
-    onto that of b, and every pulled-back generator of b is orthogonal to
+    Equal colour multisets give equal nil counts, since the out-degrees sum
+    to the count.  A full assignment maps the nil set of a exactly onto
+    that of b, and every pulled-back generator of b is orthogonal to
     every row of a.cartan_null, hence lies in span(a); the generator counts
     are equal, so the spans are (the proof of maps_onto).  Every cut branch
     fails a check that every completion would fail too, so no witness is
@@ -141,7 +142,7 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
     """
     n = a.n
     gens = b.cartan_gens
-    if len(a.cartan_gens) != len(gens) or len(a.nil_set) != len(b.nil_set):
+    if len(a.cartan_gens) != len(gens):
         return
     a_out, b_out = a.nil_rows, b.nil_rows
     a_in, b_in = a.nil_cols, b.nil_cols

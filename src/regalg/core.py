@@ -301,10 +301,14 @@ _CARTAN_TOKEN = re.compile(r"H(\d+)|H\[(\d+),(\d+)\]|diag\(((?:-?\d+,)*-?\d+)\)"
 def parse_descriptor(text: str) -> RegularSubalgebra:
     """Parse the subalgebra text format accepted by every CLI command.
 
-    Segments are read in one pass over the whitespace-free text; an error
-    reports its offset in the original text.  An n above DESCRIPTOR_MAX_N
-    is rejected before any length-n vector is built, and a diag entry
-    above DIAG_ENTRY_MAX in magnitude before any signature work."""
+    Segments are read in one pass over the whitespace-free text, and each
+    nil or cartan list one token at a time: a token ends where its pattern's
+    match does, and a comma or the end of the list must follow it.  An error
+    reports its offset in the original text; where no token matches, or no
+    comma follows one, it quotes the rest of the list from that offset.  An
+    n above DESCRIPTOR_MAX_N is rejected before any length-n vector is
+    built, and a diag entry above DIAG_ENTRY_MAX in magnitude before any
+    signature work."""
     condensed = "".join(text.split())  # str.split() cuts at exactly the str.isspace() characters
 
     def err(message: str, start: int, token: str) -> DescriptorError:
@@ -316,6 +320,20 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
             return int(digits)
         except ValueError:  # more digits than int() converts
             raise err("integer has too many digits", start, token) from None
+
+    def tokens(value: str, at: int, pattern: re.Pattern, expected: str, between: str):
+        pos = 0
+        while True:
+            m = pattern.match(value, pos)
+            if not m:
+                raise err(expected, at + pos, value[pos:])
+            yield m
+            pos = m.end()
+            if pos == len(value):
+                return
+            if value[pos] != ",":
+                raise err(f"expected ',' between {between}", at + pos, value[pos:])
+            pos += 1
 
     n = None
     nil_pairs: set[tuple[int, int]] = set()
@@ -340,37 +358,13 @@ def parse_descriptor(text: str) -> RegularSubalgebra:
             if n > DESCRIPTOR_MAX_N:
                 raise err(f"n must be at most {DESCRIPTOR_MAX_N}", at, value)
         elif key == "nil" and value:
-            pos = 0
-            while True:
-                m = _NIL_PAIR.match(value, pos)
-                if not m:
-                    raise err("expected (i,j) pair", at + pos, value[pos:])
-                pair = (number(m[1], at + pos, m[0]), number(m[2], at + pos, m[0]))
+            for m in tokens(value, at, _NIL_PAIR, "expected (i,j) pair", "pairs"):
+                pair = (number(m[1], at + m.start(), m[0]), number(m[2], at + m.start(), m[0]))
                 if pair in nil_pairs:
-                    raise err("duplicate nil pair", at + pos, m[0])
+                    raise err("duplicate nil pair", at + m.start(), m[0])
                 nil_pairs.add(pair)
-                pos = m.end()
-                if pos == len(value):
-                    break
-                if value[pos] != ",":
-                    raise err("expected ',' between pairs", at + pos, value[pos:])
-                pos += 1
         elif key == "cartan" and value:
-            # tokens end at commas outside brackets and parentheses
-            depth = 0
-            cuts = [-1]
-            for idx, ch in enumerate(value):
-                if ch in "[(":
-                    depth += 1
-                elif ch in "])":
-                    depth -= 1
-                elif ch == "," and depth == 0:
-                    cuts.append(idx)
-            cuts.append(len(value))
-            for lo, hi in zip(cuts, cuts[1:]):
-                m = _CARTAN_TOKEN.fullmatch(value, lo + 1, hi)
-                if not m:
-                    raise err("expected Hk, H[p,q] or diag(...)", at + lo + 1, value[lo + 1:hi])
+            for m in tokens(value, at, _CARTAN_TOKEN, "expected Hk, H[p,q] or diag(...)", "generators"):
                 k, p, q = (number(m[g], at + m.start(g), m[g]) if m[g] else None for g in (1, 2, 3))
                 entries = []
                 if m[4]:

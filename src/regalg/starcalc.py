@@ -116,10 +116,10 @@ def min_rank(algebra: RegularSubalgebra) -> int:
 
     Any single matrix unit has rank 1, so a nonempty nil set settles it.
     For a diagonal span the rank of an element is its number of nonzero
-    entries, and a multiple of some e_p - e_q (rank 2) lies in the span iff
-    p and q share a root class.  Otherwise the answer is n minus
-    the size of the largest hyperplane of the column matroid of the g x n
-    generator matrix G.
+    entries, and the answer is n minus the size of the largest hyperplane
+    of the column matroid of the g x n generator matrix G.  A root vector
+    e_p - e_q in the span needs no test of its own: its n - 2 zero columns
+    are the most a nonzero traceless vector has, so the search returns 2.
 
     Proof.  The zero set Z of a nonzero x = y.G is a flat: a column that is
     a combination of columns in Z pairs with y to 0 as well.  Its rank is at
@@ -172,8 +172,6 @@ def min_rank(algebra: RegularSubalgebra) -> int:
     if algebra.nil_set:
         return 1
     n = algebra.n
-    if any(len(c) > 1 for c in root_classes(algebra)):
-        return 2
     best = len(algebra.cartan_gens) - 1
 
     def search(rows: list[list[int]], base: int) -> None:

@@ -186,6 +186,19 @@ class TestDecide:
         assert code == 0 and report["verdict"] == "DISTINCT"
         assert report["separator"] == "maxRank"
 
+    @pytest.mark.parametrize("a, b, witness", [
+        # the first descent dead-ends at coordinate 2; the resumed search finds the witness
+        ("n=5; nil=(1,2),(3,5),(4,5)", "n=5; nil=(1,5),(2,3),(4,5)", [2, 3, 1, 4, 5]),
+        # a relabelled copy, answered from the first descent
+        ("n=8; nil=(1,2),(1,3),(2,3),(4,6),(5,6),(7,8); cartan=H1,H[4,7],H5",
+         "n=8; nil=(1,4),(2,4),(3,7),(3,8),(5,6),(7,8); cartan=H[3,7],H[1,5],H[2,4]",
+         [3, 7, 8, 1, 2, 4, 5, 6]),
+    ], ids=["n5-resumed", "n8-descent"])
+    def test_conjugate_pair_witness(self, capsys, a, b, witness):
+        code, report, _ = run_json(capsys, "decide", a, b)
+        assert code == 0
+        assert report["verdict"] == "CONJUGATE" and report["witness"] == witness
+
     def test_self_identity(self, capsys):
         desc = "n=3; nil=(1,3); cartan=H1"
         code, report, _ = run_json(capsys, "decide", desc, desc)
@@ -210,7 +223,7 @@ class TestDecide:
         assert code == 0
         assert report["verdict"] == "CONJUGATE" and report["witness"] == [2, 3, 1, 4, 5, 6, 7, 8, 9]
         code, _, err = run(capsys, "decide", "n=9; nil=(1,2),(3,5),(4,5)", "n=9; nil=(1,5),(2,3),(4,5)")
-        assert code == 2 and "guarded at n <= 8" in err
+        assert code == 2 and err == "regalg: witness search guarded at n <= 8, got n=9\n"
 
 
 # the reports the classify-n7 benchmark workload writes: (family

@@ -64,23 +64,6 @@ class TestBracket:
             assert all(bracket(a, b).values()), (a, b)  # no zero coefficient is stored
             assert bracket(a, b) == {e: -c for e, c in bracket(b, a).items()}
 
-    def test_jacobi_exhaustive_n4(self):
-        basis = standard_basis(4)
-
-        def expand(x, result):
-            acc = {}
-            for e, c in result.items():
-                for e2, c2 in bracket(x, e).items():
-                    acc[e2] = acc.get(e2, 0) + c * c2
-            return acc
-
-        for a, b, c in product(basis, repeat=3):
-            total = {}
-            for x, inner in ((a, bracket(b, c)), (b, bracket(c, a)), (c, bracket(a, b))):
-                for e, coeff in expand(x, inner).items():
-                    total[e] = total.get(e, 0) + coeff
-            assert all(v == 0 for v in total.values()), (a, b, c, total)
-
 
 class TestElements:
     def test_nil_rejects_lower_triangle(self):
@@ -335,7 +318,10 @@ DESCRIPTOR_ERRORS = [
     ("n=3; nil=(1,2),(2", "expected (i,j) pair: '(2' at position 15", "(2", 15),
     ("n=3; nil=(1,2),(1,2)", "duplicate nil pair: '(1,2)' at position 15", "(1,2)", 15),
     ("n=3; nil=(1,2)(2,3)", "expected ',' between pairs: '(2,3)' at position 14", "(2,3)", 14),
-    ("n=3; cartan=H1,,H2", "expected Hk, H[p,q] or diag(...): '' at position 15", "", 15),
+    ("n=3; cartan=H1,,H2", "expected Hk, H[p,q] or diag(...): ',H2' at position 15", ",H2", 15),
+    # a token ends where its pattern does, so text glued to it is reported at the glue
+    ("n=3; cartan=H1H2", "expected ',' between generators: 'H2' at position 14", "H2", 14),
+    ("n=3; cartan=H[1,2]x", "expected ',' between generators: 'x' at position 18", "x", 18),
     ("n = 3 ;  cartan = H1 , diag(1,-1",
      "expected Hk, H[p,q] or diag(...): 'diag(1,-1' at position 23", "diag(1,-1", 23),
     ("n=3; foo=1", "unknown segment: 'foo' at position 5", "foo", 5),

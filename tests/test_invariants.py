@@ -1,7 +1,7 @@
 """Invariant signatures and the separator dispatch."""
 
 import json
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
@@ -13,8 +13,7 @@ from regalg.core import (
     h_pq_vector,
     h_vector,
 )
-from regalg.conjugacy import permute_subalgebra
-from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
+from regalg.families import enum_codim1, enum_codim2
 from regalg.invariants import (
     SIGNATURE_CACHE_SIZE,
     _root_pairs,
@@ -125,22 +124,6 @@ class TestSeparate:
         for a, b in combinations(members, 2):
             sa, sb = signature(a), signature(b)
             assert (separate(sa, sb) is None) == (separate(sb, sa) is None)
-
-
-class TestPermutationInvariance:
-    def test_enumerated_families_n4(self):
-        n = 4
-        members = [alg for _, alg in enum_codim1(n)]
-        members += [alg for _, alg in enum_codim2(n)]
-        members += [alg for _, alg in enum_dim2(n)]
-        for k in (1, 2, 3):
-            members += [alg for _, alg in enum_drc(n, k)]
-        for algebra in members:
-            sig = signature(algebra)
-            for sigma in permutations(range(1, n + 1)):
-                image = permute_subalgebra(algebra, sigma)
-                if image is not None:
-                    assert signature(image) == sig, (algebra.descriptor(), sigma)
 
 
 class TestCodim1Distinctness:

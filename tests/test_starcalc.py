@@ -14,6 +14,7 @@ from regalg.core import (
     h_vector,
     parse_descriptor,
 )
+from regalg import starcalc
 from regalg.starcalc import (
     action_dim_seq,
     bool_mul,
@@ -143,14 +144,6 @@ class TestDerivedSeries:
             signature(RegularSubalgebra(3, {(1, 2), (2, 3)}, ()))
         assert info.value.defects == [(1, 3)]
 
-    def test_matches_span_bracket_oracle_nilpotent(self):
-        from regalg.families import enum_all_nilpotent_oracle
-
-        for n in (2, 3, 4):
-            for algebra in enum_all_nilpotent_oracle(n):
-                dims, _ = bruteforce.span_derived_series(algebra)
-                assert derived_series_dims(algebra.nil_rows) == dims, algebra.descriptor()
-
 
 class TestActionDimSeq:
     def test_full_nilpotent_column(self):
@@ -272,6 +265,15 @@ class TestMinRank:
     def test_pair_span(self):
         algebra = RegularSubalgebra(4, frozenset(), (h_vector(4, 1), h_vector(4, 3)))
         assert min_rank(algebra) == 2
+
+    @pytest.mark.parametrize("n, ks", [(4, (1, 3)), (20, range(1, 20))], ids=["H1,H3-n4", "H1..H19-n20"])
+    def test_root_span_answered_by_the_hyperplane_search(self, monkeypatch, n, ks):
+        # a root vector's n - 2 zero columns are a hyperplane, so no root-class test runs
+        def fail(algebra):
+            raise AssertionError("min_rank read root_classes")
+
+        monkeypatch.setattr(starcalc, "root_classes", fail)
+        assert min_rank(RegularSubalgebra(n, frozenset(), tuple(h_vector(n, k) for k in ks))) == 2
 
     def test_wide_vector_upper_bound(self):
         assert min_rank(RegularSubalgebra(4, frozenset(), ((1, 1, -1, -1),))) == 4
