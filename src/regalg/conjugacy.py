@@ -249,23 +249,24 @@ def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
     verdict computes no field after its separator, and the signature memo
     is neither read nor filled), and only equal signatures resume the same
     search from its dead end, the one unbounded step: above
-    PERM_SEARCH_MAX_N it raises ValueError instead.  Every witness is
-    re-verified by maps_onto.
+    PERM_SEARCH_MAX_N it raises ValueError instead; a search that ended at
+    its setup has refuted every witness and needs no guard.  Every witness
+    is re-verified by maps_onto.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"operands have n={a.n} and n={b.n}")
     require_closed(a)
     require_closed(b)
     search = _witness_search(a, b)
-    sigma = next(search, None)
-    if sigma is None:
+    sigma = next(search, ())  # () once the search has ended: no witness
+    if not sigma:
         name = first_difference(a, b)
         if name is not None:
             return ConjugacyVerdict("distinct", separator=name)
-        if a.n > PERM_SEARCH_MAX_N:
+        if sigma is None and a.n > PERM_SEARCH_MAX_N:  # a dead end to resume
             raise ValueError(f"witness search guarded at n <= {PERM_SEARCH_MAX_N}, got n={a.n}")
-        sigma = next(search, None)
-        if sigma is None:
+        sigma = next(search, ())
+        if not sigma:
             return ConjugacyVerdict("distinct", separator=NO_WITNESS)
     return ConjugacyVerdict("conjugate", witness=_verified(a, sigma, b))
 

@@ -86,16 +86,6 @@ class InvariantSignature:
 FIELD_ORDER = tuple((f.name, _camel(f.name)) for f in fields(InvariantSignature))
 
 
-def _root_pairs(algebra: RegularSubalgebra) -> list[tuple[int, int]]:
-    """The pairs (p, q), 1 <= p < q <= n, in increasing order, with e_p - e_q
-    in the diagonal span: the pairs within one root class.  Simultaneous
-    relabeling by sigma maps the root vectors of a span onto those of the
-    image span (up to irrelevant sign), which makes any multiset built over
-    them an exact monomial-conjugation invariant; an RREF basis has no such
-    equivariance because row reduction is coordinate-order sensitive."""
-    return sorted(pair for c in root_classes(algebra) for pair in combinations(c, 2))
-
-
 def _two_centres(x: int, y: int) -> int:
     """Largest matching of two centres into the leaf sets x and y."""
     if x and y and (x | y).bit_count() >= 2:
@@ -144,7 +134,11 @@ def _empty_row_anchored_flag(algebra: RegularSubalgebra) -> bool:
 # nil_rows (its transpose nil_cols for the column action); dim and the rank
 # fields see the whole algebra.  No field's value depends on another's.  Each
 # kernel looks its functions up in this module's namespace when called, so a
-# wrapper or patch on one of those names sees every call.
+# wrapper or patch on one of those names sees every call.  Relabeling by
+# sigma maps the root vectors e_p - e_q, p < q in one root class, onto those
+# of the image span (up to sign), so their sorted records are an exact
+# monomial-conjugation invariant, whatever the order of the pairs; an RREF
+# basis has no such equivariance, as row reduction depends on coordinate order.
 _FIELD_KERNELS = {
     "dim": lambda a: a.dim,
     "nil_dim": lambda a: a.nil_dim,
@@ -154,7 +148,8 @@ _FIELD_KERNELS = {
     "max_rank": lambda a: generic_max_rank(
         tuple(row | a.cartan_support & 1 << i for i, row in enumerate(a.nil_rows))),
     "min_rank": lambda a: min_rank(a) if a.dim else 0,
-    "cartan_signature": lambda a: tuple(sorted(cartan_record(a, p, q) for p, q in _root_pairs(a))),
+    "cartan_signature": lambda a: tuple(sorted(
+        cartan_record(a, p, q) for c in root_classes(a) for p, q in combinations(c, 2))),
     "last_row_cartan_flag": _empty_row_anchored_flag,
 }
 

@@ -117,9 +117,7 @@ def min_rank(algebra: RegularSubalgebra) -> int:
     Any single matrix unit has rank 1, so a nonempty nil set settles it.
     For a diagonal span the rank of an element is its number of nonzero
     entries, and the answer is n minus the size of the largest hyperplane
-    of the column matroid of the g x n generator matrix G.  A root vector
-    e_p - e_q in the span needs no test of its own: its n - 2 zero columns
-    are the most a nonzero traceless vector has, so the search returns 2.
+    of the column matroid of the g x n generator matrix G.
 
     Proof.  The zero set Z of a nonzero x = y.G is a flat: a column that is
     a combination of columns in Z pairs with y to 0 as well.  Its rank is at
@@ -147,46 +145,50 @@ def min_rank(algebra: RegularSubalgebra) -> int:
     set of some nonzero x, because the columns it counts lie in a flat of
     rank at most g - 1; and along the first basis of F it is exactly |F|.
 
-    A node of two rows (g - 2 pivots) reads its hyperplanes off: the
-    contraction has rank 2, and the hyperplanes of a rank-2 matroid are
-    its parallel classes, each together with the loops (Oxley, 3.1).  Two
-    nonzero columns are parallel iff they have the same direction, a
-    2-vector divided by the gcd of its entries with its first nonzero
-    entry made positive; the node's count is base, its zero columns and
-    its largest class.  A node of one row (g = 1) counts base and its zero
-    columns.
+    A node of two rows (g - 2 pivots) is a leaf and reads its hyperplanes
+    off: the contraction has rank 2, and the hyperplanes of a rank-2
+    matroid are its parallel classes, each together with the loops (Oxley,
+    3.1).  Two nonzero columns are parallel iff they have the same
+    direction, a 2-vector divided by the gcd of its entries with its first
+    nonzero entry made positive; the leaf's count is base, its zero
+    columns and its largest class.
 
     Bound.  The largest hyperplane found so far, best, starts at g - 1,
-    the size of every basis of a hyperplane.  Past column j of a node, no
-    hyperplane below it has more than base + the zero columns seen before
-    j + the columns from j on, so the node stops once that is at most
-    best: only a strictly larger hyperplane can change the answer.  The
-    answer is n - best.  Minimum weight is NP-hard (Vardy, "The
-    intractability of computing the minimum distance of a code", IEEE
-    Trans. IT 1997), so the search stays exponential in the worst case;
-    the bound prunes hardest when g is close to n, where best starts
-    large.
+    the size of every basis of a hyperplane, or at the most zeros of a
+    generator (a nonzero element) if that is more.  A traceless vector
+    with n - 1 zeros is 0, so best is at most n - 2, and the search runs
+    only for g >= 2 and best < n - 2: one generator, or a root vector
+    e_p - e_q among them, needs no elimination, while a root vector that
+    is only a combination of the generators costs the full search.  Past
+    column j of a node, no hyperplane below it has more than base + the
+    zero columns seen before j + the columns from j on, so the node stops
+    once that is at most best: only a strictly larger hyperplane can change
+    the answer.  The answer is n - best.  Minimum weight is NP-hard
+    (Vardy, "The intractability of computing the minimum distance of a
+    code", IEEE Trans. IT 1997), so the search stays exponential in the
+    worst case; the bound prunes hardest when g is close to n, where best
+    starts large.
     """
     if algebra.dim == 0:
         raise ValueError("minimum rank of the zero algebra is undefined")
     if algebra.nil_set:
         return 1
     n = algebra.n
-    best = len(algebra.cartan_gens) - 1
+    gens = algebra.cartan_gens
+    best = max(len(gens) - 1, max(v.count(0) for v in gens))
 
     def search(rows: list[list[int]], base: int) -> None:
         nonlocal best
-        if len(rows) <= 2:
+        if len(rows) == 2:
             zeros = 0
             directions: dict[tuple[int, int], int] = {}  # parallel class -> its size
-            for column in zip(*rows):
-                if not any(column):
+            for a, b in zip(*rows):
+                if not (a or b):
                     zeros += 1
-                elif len(rows) == 2:
-                    a, b = column
-                    d = gcd(a, b) if a > 0 or (a == 0 and b > 0) else -gcd(a, b)
-                    key = a // d, b // d
-                    directions[key] = directions.get(key, 0) + 1
+                    continue
+                d = gcd(a, b) if a > 0 or (a == 0 and b > 0) else -gcd(a, b)
+                key = a // d, b // d
+                directions[key] = directions.get(key, 0) + 1
             best = max(best, base + zeros + max(directions.values(), default=0))
             return
         width = len(rows[0])
@@ -202,5 +204,6 @@ def min_rank(algebra: RegularSubalgebra) -> int:
             rest = [linalg._eliminate(row[j:], tail, 0)[1:] for row in rows if row is not pivot]
             search(rest, base + zeros + 1)
 
-    search([list(v) for v in algebra.cartan_gens], 0)
+    if len(gens) >= 2 and best < n - 2:
+        search([list(v) for v in gens], 0)
     return n - best

@@ -222,6 +222,11 @@ class TestDecide:
         code, report, _ = run_json(capsys, "decide", "n=9; nil=(1,2)", "n=9; nil=(2,3)")
         assert code == 0
         assert report["verdict"] == "CONJUGATE" and report["witness"] == [2, 3, 1, 4, 5, 6, 7, 8, 9]
+        for n in (9, 20):  # refuted at the search's setup, so not guarded
+            code, report, _ = run_json(capsys, "decide", f"n={n}; nil=(1,4),(1,5),(2,5),(3,5)",
+                                       f"n={n}; nil=(1,4),(1,5),(2,4),(3,5)")
+            assert code == 0
+            assert report["verdict"] == "DISTINCT" and report["separator"] == "noPermutationWitness"
         code, _, err = run(capsys, "decide", "n=9; nil=(1,2),(3,5),(4,5)", "n=9; nil=(1,5),(2,3),(4,5)")
         assert code == 2 and err == "regalg: witness search guarded at n <= 8, got n=9\n"
 

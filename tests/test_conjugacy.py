@@ -117,6 +117,12 @@ class TestPermConjugate:
         a = RegularSubalgebra(9, {(1, 2)})
         verdict = decide(a, RegularSubalgebra(9, {(1, 2), (1, 3), (2, 3)}))
         assert verdict.witness is None and verdict.separator == "dim"
+        # equal signatures, but the colour multisets differ: the search ends
+        # at its setup, which refutes every witness, so nothing is guarded
+        for n in (9, 20):
+            verdict = decide(parse_descriptor(f"n={n}; nil=(1,4),(1,5),(2,5),(3,5)"),
+                             parse_descriptor(f"n={n}; nil=(1,4),(1,5),(2,4),(3,5)"))
+            assert verdict.witness is None and verdict.separator == "noPermutationWitness"
         # the first descent runs at every n and reaches this witness
         assert decide(a, RegularSubalgebra(9, {(2, 3)})).witness == (2, 3, 1, 4, 5, 6, 7, 8, 9)
         # this descent dead-ends at 2 and the fields agree: only the

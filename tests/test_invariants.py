@@ -16,7 +16,6 @@ from regalg.core import (
 from regalg.families import enum_codim1, enum_codim2
 from regalg.invariants import (
     SIGNATURE_CACHE_SIZE,
-    _root_pairs,
     cartan_record,
     separate,
     signature,
@@ -65,8 +64,9 @@ class TestSignature:
 
 
 def root_vectors(algebra):
-    """The root pairs of the diagonal span as vectors e_p - e_q."""
-    return tuple(h_pq_vector(algebra.n, p, q) for p, q in _root_pairs(algebra))
+    """The root pairs of the diagonal span, in increasing order, as vectors e_p - e_q."""
+    pairs = sorted(pair for c in root_classes(algebra) for pair in combinations(c, 2))
+    return tuple(h_pq_vector(algebra.n, p, q) for p, q in pairs)
 
 
 class TestRootVectors:

@@ -26,13 +26,12 @@ from regalg.core import RegularSubalgebra, full_nil_set, h_pq_vector, is_closed,
 from regalg.families import enum_codim1, enum_codim2, enum_dim2, enum_drc
 from regalg.invariants import (
     CartanRecord,
-    _root_pairs,
     cartan_record,
     first_difference,
     separate,
     signature,
 )
-from regalg.starcalc import generic_max_rank, min_rank
+from regalg.starcalc import generic_max_rank, min_rank, root_classes
 
 import bruteforce
 
@@ -128,8 +127,9 @@ def family_members(n):
 
 
 def root_vectors(algebra):
-    """The root pairs of the diagonal span as vectors e_p - e_q."""
-    return tuple(h_pq_vector(algebra.n, p, q) for p, q in _root_pairs(algebra))
+    """The root pairs of the diagonal span, in increasing order, as vectors e_p - e_q."""
+    pairs = sorted(pair for c in root_classes(algebra) for pair in combinations(c, 2))
+    return tuple(h_pq_vector(algebra.n, p, q) for p, q in pairs)
 
 
 def assert_generic_ranks_match(algebra):

@@ -14,7 +14,7 @@ from regalg.core import (
     h_vector,
     parse_descriptor,
 )
-from regalg import starcalc
+from regalg import linalg, starcalc
 from regalg.starcalc import (
     action_dim_seq,
     bool_mul,
@@ -254,6 +254,22 @@ BENCHMARK_SPANS = [
      "diag(-1,1,2,0,0,0,-2,1,-3,0,-2,2,2,0,-1,2,0,-4,3)", 13),
 ]
 
+# e_1 - e_2 and 11 random [-3, 3] generators: the hyperplane search alone
+# takes about 0.7 s on this span (Python 3.11, one core of a Xeon VM)
+ROOT_AND_RANDOM_N20 = (
+    "n=20; nil=; cartan=H1,diag(2,2,3,3,-2,-1,2,2,3,-3,3,-1,1,-2,-3,0,0,-3,-3,-3),"
+    "diag(-2,-1,0,1,0,0,-2,-2,-1,2,2,-1,-1,0,-3,2,1,3,3,-1),"
+    "diag(0,-1,2,-1,0,3,0,3,-3,-3,1,0,-2,-3,2,2,1,-3,3,-1),"
+    "diag(-1,-1,1,-2,-3,-2,0,1,0,-2,0,0,2,1,3,2,-1,1,1,0),"
+    "diag(1,-1,0,3,0,-3,-1,1,-2,2,3,-2,1,1,-1,3,-1,-2,-3,1),"
+    "diag(-1,3,0,-2,-1,1,3,2,-2,1,-3,-2,1,3,1,1,-3,-3,3,-2),"
+    "diag(3,3,-3,0,2,1,1,2,2,-1,-2,-2,-1,-2,-3,-3,1,2,1,-1),"
+    "diag(-2,-2,2,-3,2,0,0,3,-3,-3,1,3,-2,0,1,1,3,0,-3,2),"
+    "diag(0,-2,3,-2,-2,1,3,-1,-2,-2,3,-1,3,-3,-2,1,-1,3,0,1),"
+    "diag(-3,3,2,1,1,3,-3,2,-3,3,-1,2,-3,0,0,-3,-1,1,-3,2),"
+    "diag(2,-3,2,-3,1,3,2,2,-3,1,-2,0,-2,-1,-1,1,-3,2,1,1)"
+)
+
 
 class TestMinRank:
     def test_nil_member_gives_one(self):
@@ -266,14 +282,21 @@ class TestMinRank:
         algebra = RegularSubalgebra(4, frozenset(), (h_vector(4, 1), h_vector(4, 3)))
         assert min_rank(algebra) == 2
 
-    @pytest.mark.parametrize("n, ks", [(4, (1, 3)), (20, range(1, 20))], ids=["H1,H3-n4", "H1..H19-n20"])
-    def test_root_span_answered_by_the_hyperplane_search(self, monkeypatch, n, ks):
-        # a root vector's n - 2 zero columns are a hyperplane, so no root-class test runs
-        def fail(algebra):
-            raise AssertionError("min_rank read root_classes")
+    @pytest.mark.parametrize("algebra", [
+        RegularSubalgebra(4, frozenset(), (h_vector(4, 1), h_vector(4, 3))),
+        RegularSubalgebra(20, frozenset(), tuple(h_vector(20, k) for k in range(1, 20))),
+        parse_descriptor(ROOT_AND_RANDOM_N20),
+    ], ids=["H1,H3-n4", "H1..H19-n20", "H1+11-random-n20"])
+    def test_root_generator_answered_without_search(self, monkeypatch, algebra):
+        # a root vector's n - 2 zeros are the most a nonzero traceless
+        # vector has, so best starts at n - 2 and neither a root-class test
+        # nor an elimination runs
+        def fail(*args):
+            raise AssertionError("min_rank searched")
 
         monkeypatch.setattr(starcalc, "root_classes", fail)
-        assert min_rank(RegularSubalgebra(n, frozenset(), tuple(h_vector(n, k) for k in ks))) == 2
+        monkeypatch.setattr(linalg, "_eliminate", fail)
+        assert min_rank(algebra) == 2
 
     def test_wide_vector_upper_bound(self):
         assert min_rank(RegularSubalgebra(4, frozenset(), ((1, 1, -1, -1),))) == 4
