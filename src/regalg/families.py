@@ -1,14 +1,13 @@
-"""Enumeration of the named subalgebra families, with exhaustive oracles.
+"""Enumeration of the named subalgebra families, and the dimension-2 oracle.
 
 The codimension-1, codimension-2 and D/R/C enumerators build every member
 by one removal rule, _removal: the full solvable algebra less a set of nil
-positions and a set of diagonal generators H_k.  The oracles rediscover
-the same sets by brute-force closure scans and are used to audit both the
-constructions and the published closed-form counts.
-Published count formulas are report-only reference values, never the
-enumeration mechanism.  The published conjugators between labelled
-members are kept here too, as witness recipes read off the label
-indices; the conjugacy layer re-verifies each one like any other witness.
+positions and a set of diagonal generators H_k.  The two-element spans are
+rediscovered by a bracket expansion, enum_all_dim2_oracle.  Published count
+formulas are report-only reference values, never the enumeration
+mechanism.  The published conjugators between labelled members are kept
+here too, as witness recipes read off the label indices; the conjugacy
+layer re-verifies each one like any other witness.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from .core import (
     is_closed,
 )
 from .starcalc import bool_mul
-
-NILPOTENT_ORACLE_MAX_N = 5
 
 
 @dataclass(frozen=True)
@@ -253,23 +250,6 @@ def dim2_count_audit(n: int, members: list[Member]) -> list[dict]:
             "matches": exhaustive == formula,
         })
     return rows
-
-
-# ── exhaustive nilpotent oracle ─────────────────────────────────────────
-
-
-def enum_all_nilpotent_oracle(n: int) -> list[RegularSubalgebra]:
-    """Every bracket-closed subset of the strictly upper positions."""
-    if n > NILPOTENT_ORACLE_MAX_N:
-        raise ValueError(f"oracle guarded at n <= {NILPOTENT_ORACLE_MAX_N}, got {n}")
-    positions = sorted(full_nil_set(n))
-    out = []
-    for mask in range(1 << len(positions)):
-        subset = frozenset(p for idx, p in enumerate(positions) if mask >> idx & 1)
-        algebra = RegularSubalgebra(n, subset, ())
-        if is_closed(algebra):
-            out.append(algebra)
-    return out
 
 
 # ── segment-removal families (D / R / C) ────────────────────────────────

@@ -9,11 +9,10 @@ it needs pays only for the checks before it.  Published values known to
 disagree with exact computation (the codim-1 dimension label, the A1
 count formula, some diagonal-removal table cells, two adjoint boundary
 cases) are warnings; the A2, B3 and C2 counts and the row/column table
-cells must hold.  Every oracle runs at every n the CLI admits; codim2-oracle
-tries each removal of one or two nil positions itself.  Only
-codim2-bound-tight reads the exhaustive nilpotent scan, which grows as
-2^(n(n-1)/2), and above NILPOTENT_ORACLE_MAX_N it is left out, as
-drc-classes is left out where no k has a classification statement.
+cells must hold.  Every check runs at every n the CLI admits, except
+drc-classes where no k has a classification statement; codim2-oracle tries
+each removal of one or two nil positions itself, and codim2-bound-tight
+searches for the fewest removals that avoid each position.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ from itertools import combinations, permutations, product
 from .conjugacy import classify_family, decide, maps_onto, permute_subalgebra
 from .core import RegularSubalgebra, bracket, dimension_bound, full_nil_set, is_closed
 from .families import (
-    NILPOTENT_ORACLE_MAX_N,
     codim2_expected_breakdown,
     dim2_count_audit,
     drc_commutator_codim,
     drc_reference_codim,
     drc_valid_indices,
     enum_all_dim2_oracle,
-    enum_all_nilpotent_oracle,
     enum_codim1,
     enum_codim2,
     enum_dim2,
@@ -120,6 +117,28 @@ def codim1(n: int) -> Iterator[Check]:
     )
 
 
+def _fewest_removals(i: int, j: int) -> int:
+    """Fewest nil positions R, (i, j) among them, whose removal leaves a
+    closed nil set: each (a, c) in R needs (a, b) or (b, c) in R for every
+    a < b < c, and a triple with neither is unmet.  Each step adds one
+    position of the first unmet triple; a branch as large as the best set,
+    at first every position inside [i, j], is cut.  Exact: while the set
+    lies in a minimum R*, R* holds a position of each unmet triple, so some
+    branch stays in R*; and no recorded set has an unmet triple."""
+    best = (j - i + 1) * (j - i) // 2
+    stack = [frozenset({(i, j)})]
+    while stack:
+        removed = stack.pop()
+        unmet = next(((a, b, c) for a, c in removed for b in range(a + 1, c)
+                      if (a, b) not in removed and (b, c) not in removed), None)
+        if unmet is None:
+            best = min(best, len(removed))
+        elif len(removed) + 1 < best:
+            a, b, c = unmet
+            stack += (removed | {(a, b)}, removed | {(b, c)})
+    return best
+
+
 def codim2(n: int) -> Iterator[Check]:
     members = enum_codim2(n)
     breakdown = codim2_expected_breakdown(n)
@@ -153,19 +172,15 @@ def codim2(n: int) -> Iterator[Check]:
             "are closed: the L_{i,i+1}, N, N_R and N_C nil sets"
         ),
     )
-    if n <= NILPOTENT_ORACLE_MAX_N:
-        oracle = enum_all_nilpotent_oracle(n)
-        bound_ok = all(
-            max(a.nil_dim for a in oracle if (i, j) not in a.nil_set)
-            == dimension_bound(RegularSubalgebra(n), (i, j))
-            for i in range(1, n)
-            for j in range(i + 1, n + 1)
-        )
-        yield Check(
-            "codim2-bound-tight",
-            bound_ok,
-            details="max closed nil dimension missing (i,j) equals n(n-1)/2-(j-i) for all positions",
-        )
+    bound_ok = all(
+        len(full) - _fewest_removals(i, j) == dimension_bound(RegularSubalgebra(n), (i, j))
+        for i, j in full
+    )
+    yield Check(
+        "codim2-bound-tight",
+        bound_ok,
+        details="max closed nil dimension missing (i,j) equals n(n-1)/2-(j-i) for all positions",
+    )
 
     part, _, classes, _ = _partition_by_kind(members)
     # every class with more than one member is a unit/row/column triple, so

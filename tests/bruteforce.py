@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
-from regalg.core import DimensionMismatchError, RegularSubalgebra, full_nil_set
+from regalg.core import DimensionMismatchError, RegularSubalgebra, full_nil_set, h_pq_vector
+from regalg.starcalc import root_classes
 
 RANK_TRIALS = 3
 RANK_VALUE_BOUND = 2**31
@@ -341,6 +342,13 @@ def in_span(vector, rows) -> bool:
     """Span membership by two exact ranks."""
     base = [list(r) for r in rows]
     return rank(base) == rank(base + [list(vector)])
+
+
+def root_vectors(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], ...]:
+    """The package's root pairs (starcalc.root_classes), in increasing
+    order, as vectors e_p - e_q: the form root_vectors_by_rank checks."""
+    pairs = sorted(pair for c in root_classes(algebra) for pair in combinations(c, 2))
+    return tuple(h_pq_vector(algebra.n, p, q) for p, q in pairs)
 
 
 def root_vectors_by_rank(algebra: RegularSubalgebra) -> tuple[tuple[int, ...], ...]:

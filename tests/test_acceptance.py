@@ -17,10 +17,9 @@ from regalg.families import (
     drc_case,
     drc_commutator_codim,
     drc_valid_indices,
-    enum_all_nilpotent_oracle,
     make_drc,
 )
-from regalg.core import parse_descriptor
+from regalg.core import RegularSubalgebra, parse_descriptor
 from regalg.starcalc import bool_mul, derived_series_dims, min_rank
 from regalg.verify import SUITES
 
@@ -79,7 +78,7 @@ def test_c03_exhaustive_closure_oracle():
 
 def test_c04_dimension_bound_tightness():
     with criterion(4, 5.0, "removal bound n(n-1)/2-(j-i) is attained and never exceeded"):
-        for n in (4, 5):
+        for n in range(3, 9):
             assert check("codim2", "codim2-bound-tight", n).passed, n
 
 
@@ -224,7 +223,8 @@ def test_c12_kernel_properties():
 
         t0 = time.perf_counter()
         for size in (2, 3, 4):
-            for algebra in enum_all_nilpotent_oracle(size):
+            for nil in bruteforce.closed_nil_sets(size):
+                algebra = RegularSubalgebra(size, nil)
                 dims, patterns = bruteforce.span_derived_series(algebra)
                 assert derived_series_dims(algebra.nil_rows) == dims
                 boolean = bool_mul(algebra.nil_rows, algebra.nil_rows)

@@ -353,28 +353,27 @@ class TestVerify:
         classes = next(r for r in report["rows"] if r["check"] == "dim2-classes")
         assert classes["result"] == "PASS"
 
-    @pytest.mark.parametrize("n, digest", [
-        (4, "12a1f8d638862fb802279e81434e2365786a3189dd6f588314acc398c5aab268"),
-        (5, "0472c10cbb33cd62879a4457f4daab7147ecac54258e20749248bb345fd7cda7"),
+    @pytest.mark.parametrize("n, digest, length", [
+        (2, "5f6dbeb72a8c22533b23b80ef0f393f3d2116400452edc8c3fc79d0532e17832", 1_704),
+        (3, "88b6d06860d21e36f689a6d475567b5d21c200bf1fd1549f291f26245164a227", 3_578),
+        (4, "12a1f8d638862fb802279e81434e2365786a3189dd6f588314acc398c5aab268", 3_672),
+        (5, "0472c10cbb33cd62879a4457f4daab7147ecac54258e20749248bb345fd7cda7", 3_819),
+        (6, "4c96cd6e128de6056c03b6c0b0ded4cb20aecf4ece60b800931a100f900ce36c", 4_041),
+        (7, "8e75dadef1732eaabbb1d1e2f758f4b785f982778b7c5f3676fee572cf9b1812", 4_260),
+        (8, "52d165a9888b30cfa67b33b09e5891bc2e2ddff71d0ccc5d22b13a4fce0664f9", 4_487),
     ])
-    def test_all_suite_report_bytes(self, capsys, n, digest):
+    def test_all_suite_report_bytes(self, capsys, n, digest, length):
         # a change to these bytes is a change to the report: record it
-        _, out, _ = run(capsys, "verify", "--suite", "all", "--n", str(n), "--format", "json")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n", str(n), "--format", "json")
+        data = out.encode()
+        assert code == 0 and len(data) == length
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_dim2_oracle_runs_at_the_top_of_the_range(self, capsys):
         code, report, _ = run_json(capsys, "verify", "--suite", "dim2", "--n", "8")
         oracle = next(r for r in report["rows"] if r["check"] == "dim2-enum-oracle")
         assert code == 0 and oracle["result"] == "PASS" and oracle["warnings"] == 0
         assert oracle["details"].startswith("539 labelled spans")
-
-    def test_all_suite_n6_report_bytes(self, capsys):
-        # a change to these bytes is a change to the report: record it
-        _, out, _ = run(capsys, "verify", "--suite", "all", "--n", "6", "--format", "json")
-        data = out.encode()
-        assert len(data) == 3_848
-        assert hashlib.sha256(data).hexdigest() == (
-            "ed2459530277ea8a0fb9a69a47b53ca4dcd310cc10c66fe603fd153efb23268d")
 
     def test_kernels_suite_at_n2(self, capsys):
         code, report, _ = run_json(capsys, "verify", "--suite", "kernels", "--n", "2")

@@ -27,12 +27,9 @@ from regalg.core import (
     is_closed,
     parse_descriptor,
 )
+from regalg.families import standard_basis
 
-
-def standard_basis(n):
-    basis = [Nil(n, i, j) for i, j in sorted(full_nil_set(n))]
-    basis += [Diag(h_vector(n, k)) for k in range(1, n)]
-    return basis
+import bruteforce
 
 
 class TestBracket:
@@ -175,12 +172,11 @@ class TestClosure:
 
     def test_adding_cartan_preserves_closure(self):
         # diagonal generators only rescale members, so closure is untouched
-        from regalg.families import enum_all_nilpotent_oracle
-
         vectors = [h_vector(4, 1), h_pq_vector(4, 1, 4), (1, 1, -1, -1), (2, -1, -1, 0)]
-        for algebra in enum_all_nilpotent_oracle(4):
+        for nil in bruteforce.closed_nil_sets(4):
+            algebra = RegularSubalgebra(4, nil)
             for v in vectors:
-                extended = RegularSubalgebra(4, algebra.nil_set, (v,))
+                extended = RegularSubalgebra(4, nil, (v,))
                 assert is_closed(extended) == is_closed(algebra)
 
 
@@ -194,9 +190,7 @@ class TestDimensionBound:
     def test_solvable_bound_is_tight(self, n):
         # with the full Cartan, the largest closed algebra missing (i,j) has
         # the bound's dimension, and none has more
-        from regalg.families import enum_all_nilpotent_oracle
-
-        closed = [RegularSubalgebra(n, a.nil_set, full_cartan(n)) for a in enum_all_nilpotent_oracle(n)]
+        closed = [RegularSubalgebra(n, nil, full_cartan(n)) for nil in bruteforce.closed_nil_sets(n)]
         for i, j in full_nil_set(n):
             bound = dimension_bound(RegularSubalgebra(n, frozenset(), full_cartan(n)), (i, j))
             assert max(a.dim for a in closed if (i, j) not in a.nil_set) == bound

@@ -1,8 +1,10 @@
 """Family enumerators, exhaustive oracles, and count audits."""
 
+from itertools import combinations
+
 import pytest
 
-from regalg.core import full_nil_set, is_closed
+from regalg.core import RegularSubalgebra, full_nil_set, is_closed
 from regalg.families import (
     dim2_formula_count,
     drc_case,
@@ -11,7 +13,6 @@ from regalg.families import (
     drc_removed_positions,
     drc_valid_indices,
     enum_all_dim2_oracle,
-    enum_all_nilpotent_oracle,
     enum_codim1,
     enum_codim2,
     enum_dim2,
@@ -85,8 +86,21 @@ class TestDim2:
 
 
 class TestNilpotentOracle:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_the_closure_scan(self, n):
+        # the definition: every subset of the nil positions that is_closed accepts
+        positions = sorted(full_nil_set(n))
+        scan = {
+            frozenset(subset)
+            for size in range(len(positions) + 1)
+            for subset in combinations(positions, size)
+            if is_closed(RegularSubalgebra(n, subset))
+        }
+        got = bruteforce.closed_nil_sets(n)
+        assert len(got) == len(scan) and set(got) == scan
+
     def test_n3_patterns(self):
-        got = {tuple(sorted(a.nil_set)) for a in enum_all_nilpotent_oracle(3)}
+        got = {tuple(sorted(nil)) for nil in bruteforce.closed_nil_sets(3)}
         assert got == {
             (),
             ((1, 2),),
@@ -98,21 +112,13 @@ class TestNilpotentOracle:
         }
 
     def test_n2(self):
-        assert len(enum_all_nilpotent_oracle(2)) == 2
+        assert len(bruteforce.closed_nil_sets(2)) == 2
 
     def test_codim1_patterns_are_offdiagonal_removals(self):
         for n in (4, 5):
             full_count = n * (n - 1) // 2
-            got = {
-                a.nil_set
-                for a in enum_all_nilpotent_oracle(n)
-                if a.nil_dim == full_count - 1
-            }
+            got = {nil for nil in bruteforce.closed_nil_sets(n) if len(nil) == full_count - 1}
             assert got == {full_nil_set(n) - {(i, i + 1)} for i in range(1, n)}
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            enum_all_nilpotent_oracle(6)
 
 
 class TestMakeDrc:

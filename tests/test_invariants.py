@@ -10,7 +10,6 @@ from regalg.core import (
     RegularSubalgebra,
     full_cartan,
     full_nil_set,
-    h_pq_vector,
     h_vector,
 )
 from regalg.families import enum_codim1, enum_codim2
@@ -63,34 +62,28 @@ class TestSignature:
             assert all(a >= b for a, b in zip(dims[1:], dims[2:]))
 
 
-def root_vectors(algebra):
-    """The root pairs of the diagonal span, in increasing order, as vectors e_p - e_q."""
-    pairs = sorted(pair for c in root_classes(algebra) for pair in combinations(c, 2))
-    return tuple(h_pq_vector(algebra.n, p, q) for p, q in pairs)
-
-
 class TestRootVectors:
     def test_full_cartan_has_all_pairs(self):
         algebra = RegularSubalgebra(4, full_nil_set(4), full_cartan(4))
         assert root_classes(algebra) == [[1, 2, 3, 4]]
-        assert len(root_vectors(algebra)) == 6
-        assert root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
+        assert len(bruteforce.root_vectors(algebra)) == 6
+        assert bruteforce.root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
 
     def test_partial_sum_span(self):
         algebra = RegularSubalgebra(4, full_nil_set(4), (h_vector(4, 1), h_vector(4, 3)))
         assert root_classes(algebra) == [[1, 2], [3, 4]]
-        assert root_vectors(algebra) == ((1, -1, 0, 0), (0, 0, 1, -1))
-        assert root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
+        assert bruteforce.root_vectors(algebra) == ((1, -1, 0, 0), (0, 0, 1, -1))
+        assert bruteforce.root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
 
     def test_adjacent_pair_span_gains_combination(self):
         algebra = RegularSubalgebra(4, frozenset(), (h_vector(4, 1), h_vector(4, 2)))
         assert root_classes(algebra) == [[1, 2, 3], [4]]
-        assert root_vectors(algebra) == (
+        assert bruteforce.root_vectors(algebra) == (
             (1, -1, 0, 0),
             (1, 0, -1, 0),
             (0, 1, -1, 0),
         )
-        assert root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
+        assert bruteforce.root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
 
 
 class TestCartanRecord:

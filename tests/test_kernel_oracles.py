@@ -1,8 +1,9 @@
 """The exact kernels against their brute-force references: the integer
 row reduction by Fraction elimination, generic rank by term rank, the
 closed-form Cartan records by the adjoint pattern, root vectors by one
-annihilator, minimum rank by the column matroid's hyperplanes, and the
-pruned witness search by the full n! scan; and the soundness of
+annihilator, minimum rank by the column matroid's hyperplanes, the
+pruned witness search by the full n! scan, and the fewest removals that
+avoid a position by every closed nil set; and the soundness of
 signatures and verdicts under relabeling."""
 
 from itertools import combinations, product
@@ -31,7 +32,8 @@ from regalg.invariants import (
     separate,
     signature,
 )
-from regalg.starcalc import generic_max_rank, min_rank, root_classes
+from regalg.starcalc import generic_max_rank, min_rank
+from regalg.verify import _fewest_removals
 
 import bruteforce
 
@@ -126,15 +128,9 @@ def family_members(n):
     return members
 
 
-def root_vectors(algebra):
-    """The root pairs of the diagonal span, in increasing order, as vectors e_p - e_q."""
-    pairs = sorted(pair for c in root_classes(algebra) for pair in combinations(c, 2))
-    return tuple(h_pq_vector(algebra.n, p, q) for p, q in pairs)
-
-
 def assert_generic_ranks_match(algebra):
     assert signature(algebra).max_rank == bruteforce.instantiation_rank(algebra)
-    for h in root_vectors(algebra) + algebra.cartan_gens:
+    for h in bruteforce.root_vectors(algebra) + algebra.cartan_gens:
         pattern = bruteforce.adjoint_image_pattern(h, algebra)
         assert generic_max_rank(pattern) == bruteforce.instantiation_rank(pattern), h
 
@@ -175,7 +171,7 @@ def test_cartan_record_is_that_of_the_adjoint_pattern(algebra):
 @settings(max_examples=150, deadline=None)
 @given(closed_algebras(max_n=9))
 def test_root_vectors_match_pairwise_membership(algebra):
-    assert root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
+    assert bruteforce.root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
 
 
 # A diagonal span and a relabeling of it: min rank 3 on both sides, which a
@@ -417,7 +413,7 @@ def test_family_members_match_the_oracles(n):
     members = family_members(n)
     for _, algebra in members:
         assert_generic_ranks_match(algebra)
-        assert root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
+        assert bruteforce.root_vectors(algebra) == bruteforce.root_vectors_by_rank(algebra)
     by_kind: dict[tuple, list] = {}
     for label, algebra in members:
         by_kind.setdefault((label.kind, label.k), []).append(algebra)
@@ -611,3 +607,12 @@ def test_nilpotent_census_matches_the_poset_counts(n, labeled, unlabeled):
     assert len(part.classes) == unlabeled
     for i, j, sigma in part.witness_edges:
         assert maps_onto(census[i], sigma, census[j])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_fewest_removals_match_the_largest_closed_nil_set(n):
+    """The removal search behind codim2-bound-tight against every closed
+    nil set: m minus the largest one that avoids (i, j)."""
+    m, census = n * (n - 1) // 2, bruteforce.closed_nil_sets(n)
+    for i, j in full_nil_set(n):
+        assert _fewest_removals(i, j) == m - max(len(nil) for nil in census if (i, j) not in nil)

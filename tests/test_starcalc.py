@@ -160,9 +160,8 @@ class TestActionDimSeq:
         assert action_dim_seq(algebra.nil_cols) == [2, 1, 0]
 
     def test_matches_exact_power_supports(self):
-        from regalg.families import enum_all_nilpotent_oracle
-
-        for algebra in enum_all_nilpotent_oracle(4):
+        for nil in bruteforce.closed_nil_sets(4):
+            algebra = RegularSubalgebra(4, nil)
             for side, pattern in (("column", algebra.nil_cols), ("row", algebra.nil_rows)):
                 assert action_dim_seq(pattern) == bruteforce.span_power_action_dims(
                     algebra, side
