@@ -24,8 +24,10 @@ from it.  Signatures are conjugation invariants: they separate the
 distinct pairs and name the field that separates them.  When the descent
 dead-ends, decide compares the two operands' fields in order, stops at
 the first that differs, and resumes the same search only when they all
-agree; classify_family compares whole signatures, memoized per member,
-before it searches.
+agree.  classify_family runs the first descent against each class whose
+last member shares the member's colours, and computes a memoized
+signature only for a member that no descent places: one per class, and
+one per member whose class the descent misses.
 """
 
 from __future__ import annotations
@@ -103,6 +105,18 @@ def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
     return True
 
 
+def _colours(a: RegularSubalgebra) -> list[int]:
+    """The colour of each coordinate k of a, packed in one int: the nil
+    out-degree and in-degree of k and whether the generator column k is
+    nonzero.  A relabelling carries nil rows, nil columns and the support
+    of the span along, so every witness maps each coordinate to one of
+    its own colour."""
+    shift = a.n.bit_length()  # in-degrees are below n
+    rows, cols, support = a.nil_rows, a.nil_cols, a.cartan_support
+    return [(rows[k].bit_count() << shift | cols[k].bit_count()) << 1 | support >> k & 1
+            for k in range(a.n)]
+
+
 def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm | None]:
     """The witness search: yields None once, when its first descent dead-ends,
     and the lexicographically first permutation mapping a onto b when it
@@ -112,8 +126,8 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
     targets in increasing order.  A prefix sigma(1..k) is extended only
     while no witness is ruled out below it:
 
-    - colours: k and its target agree on nil out-degree, nil in-degree and
-      whether the generator column is zero;
+    - colours (_colours): k and its target agree on nil out-degree, nil
+      in-degree and whether the generator column is zero;
     - the nil relation: for every assigned i < k, (i, k) and (k, i) are nil
       positions of a iff (sigma i, sigma k) and (sigma k, sigma i) are nil
       positions of b;
@@ -146,11 +160,7 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
         return
     a_out, b_out = a.nil_rows, b.nil_rows
     a_in, b_in = a.nil_cols, b.nil_cols
-    shift = n.bit_length()  # in-degrees are below n
-    a_colour = [(a_out[i].bit_count() << shift | a_in[i].bit_count()) << 1 | a.cartan_support >> i & 1
-                for i in range(n)]
-    b_colour = [(b_out[t].bit_count() << shift | b_in[t].bit_count()) << 1 | b.cartan_support >> t & 1
-                for t in range(n)]
+    a_colour, b_colour = _colours(a), _colours(b)
     if sorted(a_colour) != sorted(b_colour):
         return
     targets_of: dict[int, list[int]] = {}  # the targets of each colour, increasing
@@ -323,41 +333,59 @@ def classify_family(members) -> ClassPartition:
     """Group members into conjugacy classes by witness search, merging only
     on verified witnesses, and put the classes in report order.
 
-    One pass over the members: each is scanned, in index order, against
-    the last member so far of each class in its signature group, and joins
-    the first class whose last member admits a witness, or else starts a
-    new class.  Witness existence is an equivalence, so one failed scan
-    against any member rules out the whole class.  Each merge records the
-    edge (last, member, sigma), where sigma is the lexicographically first
-    witness, the one decide(last, member) reports; so the edges link the
-    members of each class consecutively in index order.  A class never
-    spans two signature groups, so each class has one signature, and the
-    separator of two classes is that of their signatures.
+    One pass over the members.  Each first runs the witness search's
+    first descent from the last member so far of each class with its key
+    (its generator count and sorted _colours, which every witness
+    preserves), and joins the class whose descent reaches a leaf.  Only
+    when none does is its signature computed: the whole search then runs
+    from the last member of each class in its signature group, and the
+    member joins the first that admits a witness, or else founds a class.
+
+    Witness existence is an equivalence, so a member admits a witness from
+    at most one class, and joins it through its last member whichever step
+    finds it.  A descent's leaf is the search's first leaf, so the edge
+    (last, member, sigma) carries the lexicographically first witness
+    either way, the one decide(last, member) reports, re-verified by
+    maps_onto; the edges link the members of each class consecutively in
+    index order.  A class never spans two signature groups, so it has one
+    signature, its founder's, and the separator of two classes is that of
+    their signatures.
+
+    signature checks every founder's closure.  A member that joins is the
+    image of a closed member under a verified relabelling, which preserves
+    closure, so the first member that is not closed founds a class and
+    raises NotClosedError there.
     """
     members = tuple(members)
-    sigs = []
+    by_key: dict[tuple, list[list[int]]] = {}  # classes per key, in index order
     groups: dict[InvariantSignature, list[list[int]]] = {}  # classes per signature, in index order
     edges = []
     for idx, m in enumerate(members):
         if m.n != members[0].n:
             raise DimensionMismatchError("members mix different n")
-        sigs.append(signature(m))
-        group = groups.setdefault(sigs[-1], [])
-        for cls in group:
-            last = members[cls[-1]]
-            sigma = _verified(last, _witness_scan(last, m), m)
+        near = by_key.setdefault((len(m.cartan_gens), tuple(sorted(_colours(m)))), [])
+        for cls in near:
+            sigma = next(_witness_search(members[cls[-1]], m), None)
             if sigma is not None:
-                edges.append((cls[-1], idx, sigma))
-                cls.append(idx)
                 break
         else:
-            group.append([idx])
+            group = groups.setdefault(signature(m), [])
+            for cls in group:
+                sigma = _witness_scan(members[cls[-1]], m)
+                if sigma is not None:
+                    break
+            else:
+                group.append([idx])
+                near.append(group[-1])
+                continue
+        edges.append((cls[-1], idx, _verified(members[cls[-1]], sigma, m)))
+        cls.append(idx)
 
     descs = tuple(m.descriptor() for m in members)
     # a stable sort of a class in index order is by (descriptor, index);
     # first descriptors differ between classes (to_json), so they order them
-    classes = sorted((tuple(sorted(cls, key=descs.__getitem__))
-                      for group in groups.values() for cls in group),
-                     key=lambda cls: descs[cls[0]])
-    return ClassPartition(members, descs, tuple(classes), tuple(edges),
-                          tuple(sigs[cls[0]] for cls in classes))
+    classes = sorted(((tuple(sorted(cls, key=descs.__getitem__)), sig)
+                      for sig, group in groups.items() for cls in group),
+                     key=lambda c: descs[c[0][0]])
+    return ClassPartition(members, descs, tuple(cls for cls, _ in classes), tuple(edges),
+                          tuple(sig for _, sig in classes))

@@ -378,7 +378,8 @@ class TestClassifyFamily:
 
     def test_scan_result_is_reverified(self, monkeypatch):
         # a search result that is no witness raises in decide, from the
-        # first descent and from the search resumed after it, and in classify
+        # first descent and from the search resumed after it, and in
+        # classify, from the descent and from the whole search after it
         a, b = nil_algebra(4, [(1, 3), (2, 3)]), nil_algebra(4, [(1, 2), (2, 3)])
         assert not maps_onto(a, (4, 3, 2, 1), b)
         assert signature(a) == signature(b)  # so decide resumes the search
@@ -388,6 +389,28 @@ class TestClassifyFamily:
                 decide(a, b)
             with pytest.raises(AssertionError, match="re-verification"):
                 classify_family([a, b])
+
+    def test_one_signature_per_class(self):
+        # every member of the six classify-n7 families that joins a class
+        # is placed by the first descent, so only the founders compute a
+        # signature; the fields-first pass computed 437
+        families = [enum_codim1(7), enum_codim2(7), enum_dim2(7), *(enum_drc(7, k) for k in (1, 2, 3))]
+        signature.cache_clear()
+        classes = sum(len(classify_family([alg for _, alg in members]).classes) for members in families)
+        assert (classes, signature.cache_info().misses) == (106, 106)
+
+    def test_closure_checked_past_a_class_of_the_same_colours(self):
+        # the last member has the colours of the class before it, so its
+        # first descent runs from that class and dead-ends, and its
+        # signature's closure check names it
+        members = [RegularSubalgebra(5, {(1, 2), (1, 3), (2, 3), (4, 5)}),
+                   RegularSubalgebra(5, {(1, 2), (3, 4), (3, 5), (4, 5)}),
+                   RegularSubalgebra(5, {(1, 2), (1, 3), (2, 5), (4, 5)})]
+        assert len({tuple(sorted(conjugacy._colours(m))) for m in members}) == 1
+        with pytest.raises(NotClosedError) as info:
+            classify_family(members)
+        assert info.value.descriptor == members[2].descriptor()
+        assert len(classify_family(members[:2]).classes) == 1
 
     def test_cross_pairs_covered(self):
         # one separator per pair of classes, each pair exactly once
