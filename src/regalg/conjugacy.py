@@ -24,10 +24,11 @@ from it.  Signatures are conjugation invariants: they separate the
 distinct pairs and name the field that separates them.  When the descent
 dead-ends, decide compares the two operands' fields in order, stops at
 the first that differs, and resumes the same search only when they all
-agree.  classify_family runs the first descent against each class whose
-last member shares the member's colours, and computes a memoized
-signature only for a member that no descent places: one per class, and
-one per member whose class the descent misses.
+agree.  classify_family takes the same steps for each member against
+the last member of each class with its colours: it runs every first
+descent, computes a memoized signature only when none places the
+member, and then resumes only the searches of the classes with an equal
+signature, so no class and member start a second search.
 """
 
 from __future__ import annotations
@@ -105,18 +106,6 @@ def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
     return True
 
 
-def _colours(a: RegularSubalgebra) -> list[int]:
-    """The colour of each coordinate k of a, packed in one int: the nil
-    out-degree and in-degree of k and whether the generator column k is
-    nonzero.  A relabelling carries nil rows, nil columns and the support
-    of the span along, so every witness maps each coordinate to one of
-    its own colour."""
-    shift = a.n.bit_length()  # in-degrees are below n
-    rows, cols, support = a.nil_rows, a.nil_cols, a.cartan_support
-    return [(rows[k].bit_count() << shift | cols[k].bit_count()) << 1 | support >> k & 1
-            for k in range(a.n)]
-
-
 def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm | None]:
     """The witness search: yields None once, when its first descent dead-ends,
     and the lexicographically first permutation mapping a onto b when it
@@ -126,8 +115,8 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
     targets in increasing order.  A prefix sigma(1..k) is extended only
     while no witness is ruled out below it:
 
-    - colours (_colours): k and its target agree on nil out-degree, nil
-      in-degree and whether the generator column is zero;
+    - colours (RegularSubalgebra.colours): k and its target agree on nil
+      out-degree, nil in-degree and whether the generator column is zero;
     - the nil relation: for every assigned i < k, (i, k) and (k, i) are nil
       positions of a iff (sigma i, sigma k) and (sigma k, sigma i) are nil
       positions of b;
@@ -160,7 +149,7 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
         return
     a_out, b_out = a.nil_rows, b.nil_rows
     a_in, b_in = a.nil_cols, b.nil_cols
-    a_colour, b_colour = _colours(a), _colours(b)
+    a_colour, b_colour = a.colours, b.colours
     if sorted(a_colour) != sorted(b_colour):
         return
     targets_of: dict[int, list[int]] = {}  # the targets of each colour, increasing
@@ -211,16 +200,10 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
         targets = None
 
 
-def _witness_scan(a: RegularSubalgebra, b: RegularSubalgebra) -> Perm | None:
-    """Lexicographically first permutation mapping a onto b, or None: the
-    whole witness search."""
-    return next(filter(None, _witness_search(a, b)), None)
-
-
-def _verified(a: RegularSubalgebra, sigma: Perm | None, b: RegularSubalgebra) -> Perm | None:
-    """sigma, a search result, once maps_onto confirms it; a result that
-    fails re-verification raises AssertionError."""
-    if sigma is not None and not maps_onto(a, sigma, b):
+def _verified(a: RegularSubalgebra, sigma: Perm, b: RegularSubalgebra) -> Perm:
+    """sigma, a witness the search yielded, once maps_onto confirms it; a
+    witness that fails re-verification raises AssertionError."""
+    if not maps_onto(a, sigma, b):
         raise AssertionError("witness failed re-verification")
     return sigma
 
@@ -333,23 +316,25 @@ def classify_family(members) -> ClassPartition:
     """Group members into conjugacy classes by witness search, merging only
     on verified witnesses, and put the classes in report order.
 
-    One pass over the members.  Each first runs the witness search's
-    first descent from the last member so far of each class with its key
-    (its generator count and sorted _colours, which every witness
-    preserves), and joins the class whose descent reaches a leaf.  Only
-    when none does is its signature computed: the whole search then runs
-    from the last member of each class in its signature group, and the
-    member joins the first that admits a witness, or else founds a class.
+    One pass over the members and one map, from a key (the generator count
+    and sorted RegularSubalgebra.colours) to its classes in index order,
+    each held as (members, founder's signature).  A member takes decide's
+    steps against the last member of each class with its key: it runs the
+    first descent from each and joins the class whose descent reaches a
+    leaf; only when all dead-end is its signature computed, and then only
+    the paused searches of classes with an equal signature resume.  It
+    joins the first that reaches a leaf, or else founds a class.
 
-    Witness existence is an equivalence, so a member admits a witness from
-    at most one class, and joins it through its last member whichever step
-    finds it.  A descent's leaf is the search's first leaf, so the edge
-    (last, member, sigma) carries the lexicographically first witness
-    either way, the one decide(last, member) reports, re-verified by
-    maps_onto; the edges link the members of each class consecutively in
-    index order.  A class never spans two signature groups, so it has one
-    signature, its founder's, and the separator of two classes is that of
-    their signatures.
+    No other class admits a witness: a search from a class with another
+    key ends at its setup, and signatures are conjugation invariants.
+    Witness existence is an equivalence, so a member joins at most one
+    class, through its last member.  A resumed search continues the same
+    lexicographic walk, so its leaf, like a descent's, is the search's
+    first: the edge (last, member, sigma) carries the lexicographically
+    first witness, the one decide(last, member) reports, re-verified by
+    maps_onto, and the edges link each class's members consecutively in
+    index order.  A class has its founder's signature, and the separator
+    of two classes is that of their signatures.
 
     signature checks every founder's closure.  A member that joins is the
     image of a closed member under a verified relabelling, which preserves
@@ -357,26 +342,28 @@ def classify_family(members) -> ClassPartition:
     raises NotClosedError there.
     """
     members = tuple(members)
-    by_key: dict[tuple, list[list[int]]] = {}  # classes per key, in index order
-    groups: dict[InvariantSignature, list[list[int]]] = {}  # classes per signature, in index order
+    by_key: dict[tuple, list[tuple[list[int], InvariantSignature]]] = {}
     edges = []
     for idx, m in enumerate(members):
         if m.n != members[0].n:
             raise DimensionMismatchError("members mix different n")
-        near = by_key.setdefault((len(m.cartan_gens), tuple(sorted(_colours(m)))), [])
-        for cls in near:
-            sigma = next(_witness_search(members[cls[-1]], m), None)
+        near = by_key.setdefault((len(m.cartan_gens), tuple(sorted(m.colours))), [])
+        paused = []  # the searches whose first descent dead-ends, with their classes
+        for cls, cls_sig in near:
+            search = _witness_search(members[cls[-1]], m)
+            sigma = next(search, None)
             if sigma is not None:
                 break
+            paused.append((cls, cls_sig, search))
         else:
-            group = groups.setdefault(signature(m), [])
-            for cls in group:
-                sigma = _witness_scan(members[cls[-1]], m)
-                if sigma is not None:
-                    break
+            sig = signature(m)
+            for cls, cls_sig, search in paused:
+                if cls_sig == sig:
+                    sigma = next(search, None)
+                    if sigma is not None:
+                        break
             else:
-                group.append([idx])
-                near.append(group[-1])
+                near.append(([idx], sig))
                 continue
         edges.append((cls[-1], idx, _verified(members[cls[-1]], sigma, m)))
         cls.append(idx)
@@ -385,7 +372,7 @@ def classify_family(members) -> ClassPartition:
     # a stable sort of a class in index order is by (descriptor, index);
     # first descriptors differ between classes (to_json), so they order them
     classes = sorted(((tuple(sorted(cls, key=descs.__getitem__)), sig)
-                      for sig, group in groups.items() for cls in group),
+                     for key_classes in by_key.values() for cls, sig in key_classes),
                      key=lambda c: descs[c[0][0]])
     return ClassPartition(members, descs, tuple(cls for cls, _ in classes), tuple(edges),
                           tuple(sig for _, sig in classes))

@@ -135,9 +135,13 @@ class RegularSubalgebra:
     its transpose (bit i-1 of column j-1); cartan_null, the canonical basis
     (linalg.annihilator) of the null space of the diagonal span, which
     determines the span and is reduced once per generator tuple, however
-    many members share it; and cartan_support, bit k set iff some generator
+    many members share it; cartan_support, bit k set iff some generator
     is nonzero at coordinate k, which is the same for every basis of the
-    span.
+    span; and colours, the colour of each coordinate k packed in one int:
+    the nil out-degree and in-degree of k and bit k of cartan_support.  A
+    relabelling carries nil rows, nil columns and the support of the span
+    along, so every witness of conjugacy maps each coordinate to one of its
+    own colour.
 
     Equality and hashing are those of subalgebras: n, the nil set and
     cartan_null.  The generator list is only the presentation that
@@ -151,6 +155,7 @@ class RegularSubalgebra:
     nil_cols: tuple[int, ...] = field(init=False, compare=False, repr=False)
     cartan_null: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     cartan_support: int = field(init=False, compare=False, repr=False)
+    colours: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nil_set", frozenset(self.nil_set))
@@ -177,8 +182,12 @@ class RegularSubalgebra:
         object.__setattr__(self, "nil_rows", tuple(rows))
         object.__setattr__(self, "nil_cols", tuple(cols))
         object.__setattr__(self, "cartan_null", null)
-        object.__setattr__(self, "cartan_support", sum(
-            1 << k for k, column in enumerate(zip(*self.cartan_gens)) if any(column)))
+        support = sum(1 << k for k, column in enumerate(zip(*self.cartan_gens)) if any(column))
+        object.__setattr__(self, "cartan_support", support)
+        shift = self.n.bit_length()  # in-degrees are below n
+        object.__setattr__(self, "colours", tuple([
+            (rows[k].bit_count() << shift | cols[k].bit_count()) << 1 | support >> k & 1
+            for k in range(self.n)]))
 
     @property
     def dim(self) -> int:

@@ -6,7 +6,9 @@ explicit bracket expansions, deliberately avoiding the boolean-pattern
 shortcuts of the package under test.  The adjoint pattern
 adjoint_image_pattern and the pattern actions col_action and row_action
 are the direct loops over a pattern's rows that the closed-form Cartan
-records are checked against.
+records are checked against.  witness_scan alone is no oracle: it runs
+the package's pruned witness search to its end, the scan the oracles
+here are compared with.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
+from regalg.conjugacy import _witness_search
 from regalg.core import DimensionMismatchError, RegularSubalgebra, full_nil_set, h_pq_vector
 from regalg.starcalc import root_classes
 
@@ -375,6 +378,12 @@ def min_support(algebra: RegularSubalgebra) -> int:
             if rank([[v[z] for z in zeros] for v in gens]) < len(gens):
                 return n - size
     raise ValueError("the diagonal span is zero")
+
+
+def witness_scan(a: RegularSubalgebra, b: RegularSubalgebra):
+    """Lexicographically first permutation mapping a onto b, or None: the
+    package's witness search (conjugacy._witness_search) run to its end."""
+    return next(filter(None, _witness_search(a, b)), None)
 
 
 def witness_scan_exhaustive(a: RegularSubalgebra, b: RegularSubalgebra):

@@ -390,14 +390,18 @@ class TestClassifyFamily:
             with pytest.raises(AssertionError, match="re-verification"):
                 classify_family([a, b])
 
-    def test_one_signature_per_class(self):
+    def test_one_signature_per_class(self, monkeypatch):
         # every member of the six classify-n7 families that joins a class
         # is placed by the first descent, so only the founders compute a
-        # signature; the fields-first pass computed 437
+        # signature (the fields-first pass computed 437); each class and
+        # member start one search, which a dead end pauses (restarting it
+        # after the signature started 397)
+        search, starts = conjugacy._witness_search, []
+        monkeypatch.setattr(conjugacy, "_witness_search", lambda a, b: starts.append(1) or search(a, b))
         families = [enum_codim1(7), enum_codim2(7), enum_dim2(7), *(enum_drc(7, k) for k in (1, 2, 3))]
         signature.cache_clear()
         classes = sum(len(classify_family([alg for _, alg in members]).classes) for members in families)
-        assert (classes, signature.cache_info().misses) == (106, 106)
+        assert (classes, signature.cache_info().misses, len(starts)) == (106, 106, 394)
 
     def test_closure_checked_past_a_class_of_the_same_colours(self):
         # the last member has the colours of the class before it, so its
@@ -406,7 +410,7 @@ class TestClassifyFamily:
         members = [RegularSubalgebra(5, {(1, 2), (1, 3), (2, 3), (4, 5)}),
                    RegularSubalgebra(5, {(1, 2), (3, 4), (3, 5), (4, 5)}),
                    RegularSubalgebra(5, {(1, 2), (1, 3), (2, 5), (4, 5)})]
-        assert len({tuple(sorted(conjugacy._colours(m))) for m in members}) == 1
+        assert len({tuple(sorted(m.colours)) for m in members}) == 1
         with pytest.raises(NotClosedError) as info:
             classify_family(members)
         assert info.value.descriptor == members[2].descriptor()
