@@ -1,6 +1,8 @@
 """Command-line surface: enumeration, invariant reports, pairwise verdicts,
 family classification, and `verify`, which validates its arguments and
-renders the `Check` records of the `regalg.verify` suites.
+runs the `regalg.verify` suites.  Each command lays out its own report
+from the values the library returns (verdicts, partitions, `Check`
+records); no other module knows the report layout.
 
 JSON output is the machine contract and is byte-deterministic: every
 kernel behind it is exact.  It is the text of json.dumps(sort_keys=True,
@@ -66,10 +68,8 @@ def render(report: dict, fmt: str) -> Iterable[str]:
     csv and table are one chunk each."""
     if fmt == "json":
         return chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(report), ("\n",))
-    rows = report.get("rows", [])
+    rows = report["rows"]
     if fmt == "csv":
-        if not rows:
-            return ()
         header = list(rows[0].keys())
         buffer = io.StringIO()
         writer = csv.writer(buffer)
@@ -100,8 +100,7 @@ def render(report: dict, fmt: str) -> Iterable[str]:
         out.extend("  ".join(x.ljust(w) for x, w in zip(c, widths)) for c in cells)
         return out
 
-    if rows:
-        lines.extend(table_lines(rows))
+    lines.extend(table_lines(rows))
     for name, items in tables:
         lines.append("")
         lines.append(f"{name}:")
@@ -145,16 +144,14 @@ def _family_members(family: str, n: int, k: int | None, kind: str | None, index:
             if value is not None:
                 raise CommandError(f"{flag} applies to the drc family only, not {family}")
         return enumerators[family](n)
-    if family == "drc":
-        if k is None:
-            raise CommandError("--k is required for the drc family")
-        _check_k(k, n)
-        if (kind is None) != (index is None):
-            raise CommandError("--kind and --index must be given together")
-        if kind is not None:
-            return [(FamilyLabel(kind, (index,), n, k=k), make_drc(n, kind, index, k))]
-        return enum_drc(n, k)
-    raise CommandError(f"unknown family {family!r}")
+    if k is None:  # drc, the one family left by the parser's choices
+        raise CommandError("--k is required for the drc family")
+    _check_k(k, n)
+    if (kind is None) != (index is None):
+        raise CommandError("--kind and --index must be given together")
+    if kind is not None:
+        return [(FamilyLabel(kind, (index,), n, k=k), make_drc(n, kind, index, k))]
+    return enum_drc(n, k)
 
 
 def _member_row(label: FamilyLabel, algebra: RegularSubalgebra) -> dict:
@@ -198,7 +195,12 @@ def cmd_invariants(args) -> dict:
 def cmd_decide(args) -> dict:
     a = parse_descriptor(args.descriptor_a)
     b = parse_descriptor(args.descriptor_b)
-    row = {"a": a.descriptor(), "b": b.descriptor(), **decide(a, b).to_json()}
+    verdict = decide(a, b)
+    row = {"a": a.descriptor(), "b": b.descriptor(), "verdict": verdict.kind.upper()}
+    if verdict.witness is not None:
+        row["witness"] = list(verdict.witness)
+    if verdict.separator is not None:
+        row["separator"] = verdict.separator
     return {"command": "decide", **row, "rows": [row]}
 
 
@@ -206,16 +208,30 @@ def cmd_classify(args) -> dict:
     _check_n(args.n)
     members = _family_members(args.family, args.n, args.k, args.kind, args.index)
     part = classify_family([alg for _, alg in members])
+    descs = part.descriptors
+    # classes come in the order of their first descriptors, so the
+    # separators come out sorted by their (a, b) descriptors
+    first = [descs[cls[0]] for cls in part.classes]
+    edges = sorted(part.witness_edges, key=lambda e: (descs[e[0]], descs[e[1]]))
     return {
         "command": "classify",
         "n": args.n,
         "family": args.family,
         "classCount": len(part.classes),
-        # always 0, kept with the partition's empty list (ClassPartition.to_json)
+        # every pair is decided, so this count is always 0 and the
+        # partition's unresolved list always empty; both stay because the
+        # benchmark worker (perfbench/worker.py) still reads the list
         "unresolvedCount": 0,
-        "partition": part.to_json(),
+        "partition": {
+            "classes": [[descs[i] for i in cls] for cls in part.classes],
+            "witnesses": [{"a": descs[i], "b": descs[j], "sigma": list(sigma)}
+                          for i, j, sigma in edges],
+            "separators": [{"a": first[c], "b": first[d], "invariant": name}
+                           for c, d, name in part.separators()],
+            "unresolved": [],
+        },
         "rows": [
-            {"class": idx, "label": members[i][0].text(), "descriptor": part.descriptors[i]}
+            {"class": idx, "label": members[i][0].text(), "descriptor": descs[i]}
             for idx, cls in enumerate(part.classes)
             for i in cls
         ],
@@ -254,7 +270,11 @@ def cmd_verify(args) -> tuple[dict, int]:
         "failed": len(failed),
         "warningCount": len(warnings),
         "warnings": warnings,
-        "rows": [c.row() for c in checks],
+        "rows": [
+            {"check": c.name, "result": "PASS" if c.passed else "FAIL",
+             "warnings": len(c.warnings), "details": c.details}
+            for c in checks
+        ],
     }
     return report, 1 if failed else 0
 

@@ -218,14 +218,6 @@ class ConjugacyVerdict:
     def is_conjugate(self) -> bool:
         return self.kind == "conjugate"
 
-    def to_json(self):
-        out: dict = {"verdict": self.kind.upper()}
-        if self.witness is not None:
-            out["witness"] = list(self.witness)
-        if self.separator is not None:
-            out["separator"] = self.separator
-        return out
-
 
 def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
     """Conjugate(witness) when a permutation witness exists, else
@@ -290,27 +282,6 @@ class ClassPartition:
         for c, d in combinations(range(len(sigs)), 2):
             yield c, d, separate(sigs[c], sigs[d]) or NO_WITNESS
 
-    def to_json(self):
-        """The report payload.  Equal descriptors are one algebra, hence
-        one class, so the classes' first descriptors strictly increase and
-        the separators come out sorted by their (a, b) descriptors."""
-        descs = self.descriptors
-        first = [descs[cls[0]] for cls in self.classes]
-        witnesses = sorted(
-            [{"a": descs[i], "b": descs[j], "sigma": list(sigma)}
-             for i, j, sigma in self.witness_edges],
-            key=lambda e: (e["a"], e["b"]),
-        )
-        return {
-            "classes": [[descs[i] for i in cls] for cls in self.classes],
-            "witnesses": witnesses,
-            "separators": [{"a": first[c], "b": first[d], "invariant": name}
-                           for c, d, name in self.separators()],
-            # every pair is decided; the empty list stays because the
-            # benchmark worker (perfbench/worker.py) still reads this key
-            "unresolved": [],
-        }
-
 
 def classify_family(members) -> ClassPartition:
     """Group members into conjugacy classes by witness search, merging only
@@ -370,7 +341,8 @@ def classify_family(members) -> ClassPartition:
 
     descs = tuple(m.descriptor() for m in members)
     # a stable sort of a class in index order is by (descriptor, index);
-    # first descriptors differ between classes (to_json), so they order them
+    # equal descriptors are one algebra, hence one class, so first
+    # descriptors differ between classes and order them
     classes = sorted(((tuple(sorted(cls, key=descs.__getitem__)), sig)
                      for key_classes in by_key.values() for cls, sig in key_classes),
                      key=lambda c: descs[c[0][0]])

@@ -50,14 +50,6 @@ class Check:
     warnings: list[str] = field(default_factory=list)
     details: str = ""
 
-    def row(self) -> dict:
-        return {
-            "check": self.name,
-            "result": "PASS" if self.passed else "FAIL",
-            "warnings": len(self.warnings),
-            "details": self.details,
-        }
-
 
 def _partition_by_kind(members):
     part = classify_family([alg for _, alg in members])
