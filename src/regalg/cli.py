@@ -23,9 +23,9 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 
-from .conjugacy import classify_family, decide
+from .conjugacy import NO_WITNESS, classify_family, decide
 from .core import RegularSubalgebra, parse_descriptor
 from .families import (
     FamilyLabel,
@@ -36,7 +36,7 @@ from .families import (
     enum_drc,
     make_drc,
 )
-from .invariants import signature
+from .invariants import separate, signature
 from .verify import SUITE_MIN_N, SUITES, Check
 
 ENUM_MIN_N, ENUM_MAX_N = 2, 8
@@ -208,10 +208,15 @@ def cmd_classify(args) -> dict:
     _check_n(args.n)
     members = _family_members(args.family, args.n, args.k, args.kind, args.index)
     part = classify_family([alg for _, alg in members])
-    descs = part.descriptors
-    # classes come in the order of their first descriptors, so the
+    descs = [alg.descriptor() for _, alg in members]
+    # a stable sort of a class in index order is by (descriptor, index);
+    # equal descriptors are one algebra, hence one class, so first
+    # descriptors differ between classes and order them, and the
     # separators come out sorted by their (a, b) descriptors
-    first = [descs[cls[0]] for cls in part.classes]
+    classes = sorted(((sorted(cls, key=descs.__getitem__), sig)
+                      for cls, sig in zip(part.classes, part.signatures)),
+                     key=lambda c: descs[c[0][0]])
+    first = [(descs[cls[0]], sig) for cls, sig in classes]
     edges = sorted(part.witness_edges, key=lambda e: (descs[e[0]], descs[e[1]]))
     return {
         "command": "classify",
@@ -223,16 +228,16 @@ def cmd_classify(args) -> dict:
         # benchmark worker (perfbench/worker.py) still reads the list
         "unresolvedCount": 0,
         "partition": {
-            "classes": [[descs[i] for i in cls] for cls in part.classes],
+            "classes": [[descs[i] for i in cls] for cls, _ in classes],
             "witnesses": [{"a": descs[i], "b": descs[j], "sigma": list(sigma)}
                           for i, j, sigma in edges],
-            "separators": [{"a": first[c], "b": first[d], "invariant": name}
-                           for c, d, name in part.separators()],
+            "separators": [{"a": a, "b": b, "invariant": separate(sig_a, sig_b) or NO_WITNESS}
+                           for (a, sig_a), (b, sig_b) in combinations(first, 2)],
             "unresolved": [],
         },
         "rows": [
             {"class": idx, "label": members[i][0].text(), "descriptor": descs[i]}
-            for idx, cls in enumerate(part.classes)
+            for idx, (cls, _) in enumerate(classes)
             for i in cls
         ],
     }

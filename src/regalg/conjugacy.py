@@ -35,10 +35,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import DimensionMismatchError, RegularSubalgebra, _reach, require_closed
-from .invariants import InvariantSignature, first_difference, separate, signature
+from .invariants import InvariantSignature, first_difference, signature
 
 PERM_SEARCH_MAX_N = 8  # bounds decide's resumed backtracking search only
 NO_WITNESS = "noPermutationWitness"  # separator of equal signatures with no witness
@@ -258,34 +257,29 @@ def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Partition of a member list into conjugacy classes, in report order:
-    members by (descriptor, index), classes by their members' descriptors.
+    """Partition of a member list into conjugacy classes, in founding
+    order: classes in the order of their first members, each class's
+    member indices in index order.
 
     classes holds the member indices of each class, and signatures one
     signature per class.
     witness_edges holds one (i, j, sigma) for every within-class pair i < j
     consecutive in index order: sigma is the lexicographically first
     permutation mapping member i onto member j, the witness decide prints,
-    re-verified by maps_onto.
+    re-verified by maps_onto.  The separator of classes c and d is
+    separate(signatures[c], signatures[d]) or NO_WITNESS, the name decide
+    gives their members.
     """
 
     members: tuple[RegularSubalgebra, ...]
-    descriptors: tuple[str, ...]
     classes: tuple[tuple[int, ...], ...]
     witness_edges: tuple[tuple[int, int, Perm], ...]
     signatures: tuple[InvariantSignature, ...]
 
-    def separators(self) -> Iterator[tuple[int, int, str]]:
-        """(c, d, name) for each pair c < d of indices into classes, with
-        the name decide gives their members."""
-        sigs = self.signatures
-        for c, d in combinations(range(len(sigs)), 2):
-            yield c, d, separate(sigs[c], sigs[d]) or NO_WITNESS
-
 
 def classify_family(members) -> ClassPartition:
     """Group members into conjugacy classes by witness search, merging only
-    on verified witnesses, and put the classes in report order.
+    on verified witnesses; the classes come in founding order.
 
     One pass over the members and one map, from a key (the generator count
     and sorted RegularSubalgebra.colours) to its classes in index order,
@@ -314,6 +308,7 @@ def classify_family(members) -> ClassPartition:
     """
     members = tuple(members)
     by_key: dict[tuple, list[tuple[list[int], InvariantSignature]]] = {}
+    classes = []  # every class of by_key, in founding order
     edges = []
     for idx, m in enumerate(members):
         if m.n != members[0].n:
@@ -335,16 +330,10 @@ def classify_family(members) -> ClassPartition:
                         break
             else:
                 near.append(([idx], sig))
+                classes.append(near[-1])
                 continue
         edges.append((cls[-1], idx, _verified(members[cls[-1]], sigma, m)))
         cls.append(idx)
 
-    descs = tuple(m.descriptor() for m in members)
-    # a stable sort of a class in index order is by (descriptor, index);
-    # equal descriptors are one algebra, hence one class, so first
-    # descriptors differ between classes and order them
-    classes = sorted(((tuple(sorted(cls, key=descs.__getitem__)), sig)
-                     for key_classes in by_key.values() for cls, sig in key_classes),
-                     key=lambda c: descs[c[0][0]])
-    return ClassPartition(members, descs, tuple(cls for cls, _ in classes), tuple(edges),
+    return ClassPartition(members, tuple(tuple(cls) for cls, _ in classes), tuple(edges),
                           tuple(sig for _, sig in classes))

@@ -176,8 +176,10 @@ class RegularSubalgebra:
                 raise ValueError(f"cartan generator {v} has length {len(v)}, expected {self.n}")
             if sum(v) != 0:
                 raise ValueError(f"cartan generator {v} is not traceless")
-        null = _cartan_null(self.cartan_gens, self.n)
-        if len(null) != self.n - len(self.cartan_gens):
+        g = len(self.cartan_gens)
+        # traceless vectors span at most n - 1 dimensions, so n or more
+        # generators are dependent with no elimination
+        if g >= self.n or len(null := _cartan_null(self.cartan_gens, self.n)) != self.n - g:
             raise ValueError("cartan generators are linearly dependent")
         object.__setattr__(self, "nil_rows", tuple(rows))
         object.__setattr__(self, "nil_cols", tuple(cols))

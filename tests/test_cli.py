@@ -476,11 +476,16 @@ class TestClassify:
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_separator_order(self, capsys, n):
-        # one separator per pair of classes, sorted by their (a, b) descriptors
+        # members by descriptor, classes by their first descriptors, which
+        # differ because equal descriptors are one algebra; so one
+        # separator per pair of classes, sorted by their (a, b) descriptors
         for argv in _classify_argvs(n):
             code, report, _ = run_json(capsys, *argv)
-            separators = report["partition"]["separators"]
+            classes, separators = report["partition"]["classes"], report["partition"]["separators"]
+            first = [cls[0] for cls in classes]
             assert code == 0
+            assert all(x < y for x, y in zip(first, first[1:]))
+            assert all(cls == sorted(cls) for cls in classes)
             assert separators == sorted(separators, key=lambda e: (e["a"], e["b"]))
             assert len(separators) == report["classCount"] * (report["classCount"] - 1) // 2
 

@@ -1,5 +1,7 @@
 """Permutation action, witness search, verdicts, and class partitions."""
 
+import hashlib
+from dataclasses import astuple
 from itertools import combinations, pairwise
 
 import pytest
@@ -32,7 +34,7 @@ from regalg.families import (
     perm_from_partial,
     recipe_witness,
 )
-from regalg.invariants import FIELD_ORDER, signature
+from regalg.invariants import FIELD_ORDER, separate, signature
 
 import bruteforce
 from wide_spans import WIDE_SPAN_G12
@@ -218,6 +220,18 @@ class TestDecide:
                 assert verdict.kind == "distinct"
                 assert (verdict.separator == NO_WITNESS) == (signature(a) == signature(b))
 
+    def test_within_family_verdicts(self):
+        # every within-family pair at n = 3..6, each family and drc at
+        # every k: a change to a kind, witness or separator is a change to
+        # a verdict, so record it
+        families = [family(n) for n in range(3, 7) for family in (enum_codim1, enum_codim2, enum_dim2)]
+        families += [enum_drc(n, k) for n in range(3, 7) for k in range(1, n)]
+        verdicts = [astuple(decide(a, b)) for members in families
+                    for (_, a), (_, b) in combinations(members, 2)]
+        assert len(verdicts) == 20_786
+        assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
+            "6597c2c36534ebcaa706cbaa2c647cf921d726164e7758df4569637956ec8a4e")
+
 
 class TestDecideStopsAtTheSeparator:
     """decide computes no signature field after the one that separates,
@@ -337,6 +351,11 @@ class TestDecideAnswersFromTheFirstDescent:
         assert steps == [None]
 
 
+def classify_n7_families():
+    """The six families the classify-n7 benchmark workload classifies."""
+    return [enum_codim1(7), enum_codim2(7), enum_dim2(7), *(enum_drc(7, k) for k in (1, 2, 3))]
+
+
 class TestClassifyFamily:
     def test_codim1_singletons(self):
         part = classify_family([alg for _, alg in enum_codim1(4)])
@@ -395,13 +414,23 @@ class TestClassifyFamily:
         # is placed by the first descent, so only the founders compute a
         # signature (the fields-first pass computed 437); each class and
         # member start one search, which a dead end pauses (restarting it
-        # after the signature started 397)
+        # after the signature started 397); the members share 44 Cartan
+        # spans, each reduced once
         search, starts = conjugacy._witness_search, []
         monkeypatch.setattr(conjugacy, "_witness_search", lambda a, b: starts.append(1) or search(a, b))
-        families = [enum_codim1(7), enum_codim2(7), enum_dim2(7), *(enum_drc(7, k) for k in (1, 2, 3))]
+        core._cartan_null.cache_clear()
+        families = classify_n7_families()
         signature.cache_clear()
         classes = sum(len(classify_family([alg for _, alg in members]).classes) for members in families)
-        assert (classes, signature.cache_info().misses, len(starts)) == (106, 106, 394)
+        assert (classes, signature.cache_info().misses, len(starts), core._cartan_null.cache_info().misses) == (
+            106, 106, 394, 44)
+
+    def test_formats_no_descriptor(self, monkeypatch):
+        # the report layout, descriptors included, is the CLI's
+        families = classify_n7_families()
+        monkeypatch.setattr(core, "format_descriptor", lambda algebra: pytest.fail("formatted a descriptor"))
+        for members in families:
+            classify_family([alg for _, alg in members])
 
     def test_closure_checked_past_a_class_of_the_same_colours(self):
         # the last member has the colours of the class before it, so its
@@ -417,11 +446,15 @@ class TestClassifyFamily:
         assert len(classify_family(members[:2]).classes) == 1
 
     def test_cross_pairs_covered(self):
-        # one separator per pair of classes, each pair exactly once
+        # one signature per class, and every pair of classes named as
+        # decide names their members (codim2 at n = 3 holds a pair with no witness)
         for members in (enum_codim1(4), enum_codim2(3)):
             part = classify_family([alg for _, alg in members])
-            pairs = [(c, d) for c, d, _ in part.separators()]
-            assert pairs == list(combinations(range(len(part.classes)), 2))
+            sigs = part.signatures
+            assert len(sigs) == len(part.classes)
+            for c, d in combinations(range(len(part.classes)), 2):
+                a, b = part.members[part.classes[c][0]], part.members[part.classes[d][0]]
+                assert (separate(sigs[c], sigs[d]) or NO_WITNESS) == decide(a, b).separator
 
     def test_mixed_n_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -429,22 +462,15 @@ class TestClassifyFamily:
 
     def test_no_members(self):
         part = classify_family(())
-        assert (part.classes, part.witness_edges, list(part.separators())) == ((), (), [])
+        assert (part.classes, part.witness_edges, part.signatures) == ((), (), ())
 
     @pytest.mark.parametrize("n", range(3, 8))
-    def test_report_order(self, n):
-        families = [enum_codim1(n), enum_codim2(n), enum_dim2(n),
-                    *(enum_drc(n, k) for k in range(1, n))]
-        for members in families:
+    def test_founding_order(self, n):
+        for members in (enum_codim1(n), enum_codim2(n), enum_dim2(n), *(enum_drc(n, k) for k in range(1, n))):
             part = classify_family([alg for _, alg in members])
-            assert part.descriptors == tuple(m.descriptor() for m in part.members)
-            # equal descriptors are one algebra, so first descriptors differ
-            first = [part.descriptors[cls[0]] for cls in part.classes]
+            first = [cls[0] for cls in part.classes]
             assert all(x < y for x, y in zip(first, first[1:]))
-            assert all(
-                [part.descriptors[i] for i in cls] == sorted(part.descriptors[i] for i in cls)
-                for cls in part.classes
-            )
+            assert all(list(cls) == sorted(cls) for cls in part.classes)
         # at k = 1, D_i, R_i and C_i remove the same unit: one algebra, one class
         members = enum_drc(n, 1)
         part = classify_family([alg for _, alg in members])

@@ -98,12 +98,18 @@ class TestRegularSubalgebra:
         with pytest.raises(ValueError):
             RegularSubalgebra(3, frozenset(), ((1, 0, 0),))
 
-    def test_rejects_dependent_generators(self):
+    def test_rejects_dependent_generators(self, monkeypatch):
         # twice each: the second build reuses the reduced span and must still reject it
         for gens in (((1, -1, 0), (2, -2, 0)), ((1, -1, 0), (1, -1, 0))):
             for _ in range(2):
                 with pytest.raises(ValueError, match="linearly dependent"):
                     RegularSubalgebra(3, frozenset(), gens)
+        # n or more traceless generators are dependent with no elimination
+        _cartan_null.cache_clear()
+        monkeypatch.setattr(linalg, "annihilator", lambda rows, n: pytest.fail("row reduced"))
+        for gens in (((1, -1, 0), (0, 1, -1), (1, 0, -1)), (h_vector(3, 1),) * 4):
+            with pytest.raises(ValueError, match="linearly dependent"):
+                RegularSubalgebra(3, frozenset(), gens)
 
     def test_each_span_is_reduced_once(self, monkeypatch):
         _cartan_null.cache_clear()

@@ -536,7 +536,9 @@ def test_classify_family_agrees_with_decide(members):
     class_of = {i: c for c, cls in enumerate(part.classes) for i in cls}
     for i, j in combinations(range(len(members)), 2):
         assert (class_of[i] == class_of[j]) == decide(members[i], members[j]).is_conjugate
-    for c, d, name in part.separators():
+    sigs = part.signatures
+    for c, d in combinations(range(len(part.classes)), 2):
+        name = separate(sigs[c], sigs[d]) or NO_WITNESS
         assert name == decide(members[part.classes[c][0]], members[part.classes[d][0]]).separator
     for i, j, sigma in part.witness_edges:
         a, b = members[i], members[j]
