@@ -2,7 +2,7 @@
 family classification, and `verify`, which validates its arguments and
 runs the `regalg.verify` suites.  Each command lays out its own report
 from the values the library returns (verdicts, partitions, `Check`
-records); no other module knows the report layout.
+records); no other module knows the layout but InvariantSignature.to_json.
 
 JSON output is the machine contract and is byte-deterministic: every
 kernel behind it is exact.  It is the text of json.dumps(sort_keys=True,
@@ -246,7 +246,7 @@ def cmd_classify(args) -> dict:
 # ── verification suite ──────────────────────────────────────────────────
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(args) -> dict:
     _check_n(args.n)
     if args.k is not None:
         if args.suite not in ("drc", "all"):
@@ -281,7 +281,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             for c in checks
         ],
     }
-    return report, 1 if failed else 0
+    return report
 
 
 # ── argument parsing ────────────────────────────────────────────────────
@@ -289,7 +289,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def _add_common(p: argparse.ArgumentParser, with_n: bool = True) -> None:
     if with_n:
-        p.add_argument("--n", type=int, required=True, help="matrix size (2..8)")
+        p.add_argument("--n", type=int, required=True, help=f"matrix size ({ENUM_MIN_N}..{ENUM_MAX_N})")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p.add_argument("--out", default=None, help="write the report to this path")
 
@@ -341,12 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # every command returns its report; verify also returns its status
-        result = args.fn(args)
-        report, status = result if isinstance(result, tuple) else (result, 0)
+        # every command returns its report; only verify's can count failures
+        report = args.fn(args)
         _emit(render(report, args.format), args.out)
-        return status
-    except (CommandError, ValueError, OSError) as exc:
+        return 1 if report.get("failed") else 0
+    except (ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError) and not args.out:
             # the reader closed stdout early; the interpreter's final flush
             # would fail again, so the rest of the output goes to devnull

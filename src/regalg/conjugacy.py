@@ -17,18 +17,19 @@ The search runs depth first in lexicographic order, cutting a partial
 assignment only when the nil relation, the nil degrees or a dot product
 of the re-verification maps_onto, all of whose coordinates are already
 assigned, rules out every completion, so the witness found is the
-lexicographically first one.  Its first descent, which takes the first
-target that passes at each depth, reaches that witness for most
-conjugate pairs, so decide runs it before any invariant and answers them
-from it.  Signatures are conjugation invariants: they separate the
-distinct pairs and name the field that separates them.  When the descent
-dead-ends, decide compares the two operands' fields in order, stops at
-the first that differs, and resumes the same search only when they all
-agree.  classify_family takes the same steps for each member against
-the last member of each class with its colours: it runs every first
-descent, computes a memoized signature only when none places the
-member, and then resumes only the searches of the classes with an equal
-signature, so no class and member start a second search.
+lexicographically first one, and maps_onto re-verifies it before the
+search yields it.  Its first descent, which takes the first target that
+passes at each depth, reaches that witness for most conjugate pairs, so
+decide runs it before any invariant and answers them from it.  Signatures
+are conjugation invariants: they separate the distinct pairs and name
+the field that separates them.  When the descent dead-ends, decide
+compares the two operands' fields in order, stops at the first that
+differs, and resumes the same search only when they all agree.
+classify_family takes the same steps for each member against the last
+member of each class with its _key: it runs every first descent,
+computes a memoized signature only when none places the member, and then
+resumes only the searches of the classes with an equal signature, so no
+class and member start a second search.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ def permute_subalgebra(algebra: RegularSubalgebra, sigma) -> RegularSubalgebra |
 def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
     """The relabeling sigma carries a onto b, i.e.
     permute_subalgebra(a, sigma) == b, checked without building the image.
-    Every witness is re-verified through this check, in _verified, before it
-    is reported.
+    The witness search re-verifies every witness through this check, which
+    shares no code with its own checks, before it yields it.
 
     Proof.  Take equal n, nil-set sizes and generator counts.  The image nil
     set {(sigma i, sigma j)} has as many positions as a's, since sigma is
@@ -105,10 +106,16 @@ def maps_onto(a: RegularSubalgebra, sigma, b: RegularSubalgebra) -> bool:
     return True
 
 
+def _key(algebra: RegularSubalgebra) -> tuple[int, tuple[int, ...]]:
+    """Generator count and sorted colours: unequal keys admit no witness."""
+    return len(algebra.cartan_gens), tuple(sorted(algebra.colours))
+
+
 def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm | None]:
     """The witness search: yields None once, when its first descent dead-ends,
     and the lexicographically first permutation mapping a onto b when it
-    reaches it; ends without a witness when there is none.
+    reaches it; ends without a witness when there is none.  Each witness
+    passes maps_onto first, or AssertionError is raised.
 
     Depth-first search assigning sigma(1), sigma(2), ... in turn, trying
     targets in increasing order.  A prefix sigma(1..k) is extended only
@@ -142,19 +149,16 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
     None, and the next step of the generator resumes the same search from
     that dead end.
     """
+    if _key(a) != _key(b):
+        return
     n = a.n
     gens = b.cartan_gens
-    if len(a.cartan_gens) != len(gens):
-        return
     a_out, b_out = a.nil_rows, b.nil_rows
     a_in, b_in = a.nil_cols, b.nil_cols
-    a_colour, b_colour = a.colours, b.colours
-    if sorted(a_colour) != sorted(b_colour):
-        return
     targets_of: dict[int, list[int]] = {}  # the targets of each colour, increasing
-    for t, colour in enumerate(b_colour):
+    for t, colour in enumerate(b.colours):
         targets_of.setdefault(colour, []).append(t)
-    candidates = [targets_of[colour] for colour in a_colour]
+    candidates = [targets_of[colour] for colour in a.colours]
     ending: list[tuple[int, ...] | None] = [None] * n  # the row of a.cartan_null that ends at k
     if gens:  # else a has no generators either, and every Cartan check is vacuous
         for row in a.cartan_null:
@@ -191,20 +195,15 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
             continue
         sigma[k], sigma_bit[k] = t, 1 << t
         if k == n - 1:
-            yield tuple(t + 1 for t in sigma)
+            witness = tuple(t + 1 for t in sigma)
+            if not maps_onto(a, witness, b):
+                raise AssertionError("witness failed re-verification")
+            yield witness
             return
         paused.append((targets, want_out, want_in, row, head))
         used |= 1 << t
         k += 1
         targets = None
-
-
-def _verified(a: RegularSubalgebra, sigma: Perm, b: RegularSubalgebra) -> Perm:
-    """sigma, a witness the search yielded, once maps_onto confirms it; a
-    witness that fails re-verification raises AssertionError."""
-    if not maps_onto(a, sigma, b):
-        raise AssertionError("witness failed re-verification")
-    return sigma
 
 
 @dataclass(frozen=True)
@@ -234,8 +233,8 @@ def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
     is neither read nor filled), and only equal signatures resume the same
     search from its dead end, the one unbounded step: above
     PERM_SEARCH_MAX_N it raises ValueError instead; a search that ended at
-    its setup has refuted every witness and needs no guard.  Every witness
-    is re-verified by maps_onto.
+    its setup has refuted every witness and needs no guard.  The search
+    re-verifies every witness by maps_onto.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"operands have n={a.n} and n={b.n}")
@@ -252,7 +251,7 @@ def decide(a: RegularSubalgebra, b: RegularSubalgebra) -> ConjugacyVerdict:
         sigma = next(search, ())
         if not sigma:
             return ConjugacyVerdict("distinct", separator=NO_WITNESS)
-    return ConjugacyVerdict("conjugate", witness=_verified(a, sigma, b))
+    return ConjugacyVerdict("conjugate", witness=sigma)
 
 
 @dataclass(frozen=True)
@@ -281,25 +280,26 @@ def classify_family(members) -> ClassPartition:
     """Group members into conjugacy classes by witness search, merging only
     on verified witnesses; the classes come in founding order.
 
-    One pass over the members and one map, from a key (the generator count
-    and sorted RegularSubalgebra.colours) to its classes in index order,
-    each held as (members, founder's signature).  A member takes decide's
-    steps against the last member of each class with its key: it runs the
-    first descent from each and joins the class whose descent reaches a
-    leaf; only when all dead-end is its signature computed, and then only
-    the paused searches of classes with an equal signature resume.  It
-    joins the first that reaches a leaf, or else founds a class.
+    One pass over the members and one map, from a key (_key: the
+    generator count and sorted RegularSubalgebra.colours) to its classes
+    in index order, each held as (members, founder's signature).  A
+    member takes decide's steps against the last member of each class
+    with its key: it runs the first descent from each and joins the
+    class whose descent reaches a leaf; only when all dead-end is its
+    signature computed, and then only the paused searches of classes
+    with an equal signature resume.  It joins the first that reaches a
+    leaf, or else founds a class.
 
     No other class admits a witness: a search from a class with another
-    key ends at its setup, and signatures are conjugation invariants.
+    _key ends at its setup, and signatures are conjugation invariants.
     Witness existence is an equivalence, so a member joins at most one
     class, through its last member.  A resumed search continues the same
     lexicographic walk, so its leaf, like a descent's, is the search's
     first: the edge (last, member, sigma) carries the lexicographically
     first witness, the one decide(last, member) reports, re-verified by
-    maps_onto, and the edges link each class's members consecutively in
-    index order.  A class has its founder's signature, and the separator
-    of two classes is that of their signatures.
+    maps_onto inside the search, and the edges link each class's members
+    consecutively in index order.  A class has its founder's signature,
+    and the separator of two classes is that of their signatures.
 
     signature checks every founder's closure.  A member that joins is the
     image of a closed member under a verified relabelling, which preserves
@@ -313,7 +313,7 @@ def classify_family(members) -> ClassPartition:
     for idx, m in enumerate(members):
         if m.n != members[0].n:
             raise DimensionMismatchError("members mix different n")
-        near = by_key.setdefault((len(m.cartan_gens), tuple(sorted(m.colours))), [])
+        near = by_key.setdefault(_key(m), [])
         paused = []  # the searches whose first descent dead-ends, with their classes
         for cls, cls_sig in near:
             search = _witness_search(members[cls[-1]], m)
@@ -332,7 +332,7 @@ def classify_family(members) -> ClassPartition:
                 near.append(([idx], sig))
                 classes.append(near[-1])
                 continue
-        edges.append((cls[-1], idx, _verified(members[cls[-1]], sigma, m)))
+        edges.append((cls[-1], idx, sigma))
         cls.append(idx)
 
     return ClassPartition(members, tuple(tuple(cls) for cls, _ in classes), tuple(edges),

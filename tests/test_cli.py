@@ -14,6 +14,7 @@ import pytest
 
 from regalg import cli
 from regalg.cli import main
+from regalg.verify import Check
 
 from wide_spans import WIDE_SPAN_G18
 
@@ -529,6 +530,13 @@ class TestVerify:
     def test_codim1_suite(self, capsys):
         code, report, _ = run_json(capsys, "verify", "--suite", "codim1", "--n", "5")
         assert code == 0 and report["failed"] == 0
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        # a failed check is reported in full, and only the exit status differs
+        monkeypatch.setitem(cli.SUITES, "codim1", lambda n: [Check("broken", False, details="d")])
+        code, report, err = run_json(capsys, "verify", "--suite", "codim1", "--n", "5")
+        assert (code, report["passed"], report["failed"], err) == (1, 0, 1, "")
+        assert report["rows"] == [{"check": "broken", "result": "FAIL", "warnings": 0, "details": "d"}]
 
     def test_dim2_suite(self, capsys):
         code, report, _ = run_json(capsys, "verify", "--suite", "dim2", "--n", "5")

@@ -1,8 +1,10 @@
 """Permutation action, witness search, verdicts, and class partitions."""
 
 import hashlib
+import importlib.util
 from dataclasses import astuple
 from itertools import combinations, pairwise
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +234,21 @@ class TestDecide:
         assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
             "6597c2c36534ebcaa706cbaa2c647cf921d726164e7758df4569637956ec8a4e")
 
+    def test_decide_stream_verdicts(self):
+        # every pair the benchmark's decide-stream workload draws for seed 1,
+        # passes 0-9, read from its input generator; a change to those draws
+        # regenerates this digest, as does a change to a kind, witness or
+        # separator
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        ops = [op for p in range(10) for op in inputs.workload_inputs("decide-stream", 1, p)]
+        verdicts = [astuple(decide(parse_descriptor(op["a"]), parse_descriptor(op["b"]))) for op in ops]
+        assert (len(verdicts), sum(kind == "conjugate" for kind, _, _ in verdicts)) == (1_800, 959)
+        assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
+            "9c4812dd68c172125258632356944a22ef194984488009ca35eb742f52cf80d6")
+
 
 class TestDecideStopsAtTheSeparator:
     """decide computes no signature field after the one that separates,
@@ -396,14 +413,18 @@ class TestClassifyFamily:
                 assert sigma == bruteforce.witness_scan_exhaustive(a, b) == decide(a, b).witness
 
     def test_scan_result_is_reverified(self, monkeypatch):
-        # a search result that is no witness raises in decide, from the
-        # first descent and from the search resumed after it, and in
-        # classify, from the descent and from the whole search after it
-        a, b = nil_algebra(4, [(1, 3), (2, 3)]), nil_algebra(4, [(1, 2), (2, 3)])
-        assert not maps_onto(a, (4, 3, 2, 1), b)
-        assert signature(a) == signature(b)  # so decide resumes the search
-        for steps in ([(4, 3, 2, 1)], [None, (4, 3, 2, 1)]):
-            monkeypatch.setattr(conjugacy, "_witness_search", lambda x, y: iter(steps))
+        # the search re-verifies every leaf it reaches: with maps_onto
+        # refusing every witness, decide and classify raise from a leaf of
+        # the first descent and from a leaf of the search resumed after a
+        # dead end
+        descent = (parse_descriptor("n=4; nil=(1,2),(1,3)"), parse_descriptor("n=4; nil=(2,3),(2,4)"))
+        resumed = (parse_descriptor("n=5; nil=(1,2),(3,5),(4,5)"),
+                   parse_descriptor("n=5; nil=(1,5),(2,3),(4,5)"))
+        assert next(conjugacy._witness_search(*descent)) is not None
+        assert next(conjugacy._witness_search(*resumed)) is None
+        assert signature(resumed[0]) == signature(resumed[1])  # so both resume the search
+        monkeypatch.setattr(conjugacy, "maps_onto", lambda a, sigma, b: False)
+        for a, b in (descent, resumed):
             with pytest.raises(AssertionError, match="re-verification"):
                 decide(a, b)
             with pytest.raises(AssertionError, match="re-verification"):
@@ -439,7 +460,7 @@ class TestClassifyFamily:
         members = [RegularSubalgebra(5, {(1, 2), (1, 3), (2, 3), (4, 5)}),
                    RegularSubalgebra(5, {(1, 2), (3, 4), (3, 5), (4, 5)}),
                    RegularSubalgebra(5, {(1, 2), (1, 3), (2, 5), (4, 5)})]
-        assert len({tuple(sorted(m.colours)) for m in members}) == 1
+        assert len({conjugacy._key(m) for m in members}) == 1
         with pytest.raises(NotClosedError) as info:
             classify_family(members)
         assert info.value.descriptor == members[2].descriptor()

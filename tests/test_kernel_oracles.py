@@ -333,6 +333,18 @@ def test_witness_scan_matches_exhaustive_scan(pair):
     assert bruteforce.witness_scan(a, b) == bruteforce.witness_scan_exhaustive(a, b)
 
 
+@settings(max_examples=150, deadline=None)
+@given(closed_algebras(max_n=7), st.data())
+def test_key_is_relabelling_invariant_and_refused_at_setup(a, data):
+    """A relabelled copy has an equal _key, and a pair whose keys differ
+    makes the witness search yield nothing, not even a dead end's None."""
+    copy = permute_subalgebra(a, data.draw(upper_relabelings(a)))
+    assert conjugacy._key(copy) == conjugacy._key(a)
+    b = data.draw(closed_algebras(max_n=a.n, min_n=a.n))
+    assume(conjugacy._key(b) != conjugacy._key(a))
+    assert list(_witness_search(a, b)) == [] == list(_witness_search(b, a))
+
+
 @settings(max_examples=300, deadline=None)
 @given(closed_algebras(max_n=7), st.data())
 def test_maps_onto_is_image_equality(a, data):
