@@ -212,9 +212,10 @@ def cmd_classify(args) -> dict:
     # a stable sort of a class in index order is by (descriptor, index);
     # equal descriptors are one algebra, hence one class, so first
     # descriptors differ between classes and order them, and the
-    # separators come out sorted by their (a, b) descriptors
-    classes = sorted(((sorted(cls, key=descs.__getitem__), sig)
-                      for cls, sig in zip(part.classes, part.signatures)),
+    # separators come out sorted by their (a, b) descriptors; each class
+    # carries its founder's signature, one per class
+    classes = sorted(((sorted(cls, key=descs.__getitem__), signature(part.members[cls[0]]))
+                      for cls in part.classes),
                      key=lambda c: descs[c[0][0]])
     first = [(descs[cls[0]], sig) for cls, sig in classes]
     edges = sorted(part.witness_edges, key=lambda e: (descs[e[0]], descs[e[1]]))

@@ -25,11 +25,10 @@ are conjugation invariants: they separate the distinct pairs and name
 the field that separates them.  When the descent dead-ends, decide
 compares the two operands' fields in order, stops at the first that
 differs, and resumes the same search only when they all agree.
-classify_family takes the same steps for each member against the last
-member of each class with its _key: it runs every first descent,
-computes a memoized signature only when none places the member, and then
-resumes only the searches of the classes with an equal signature, so no
-class and member start a second search.
+classify_family needs no field: for each member it runs the search from
+the last member of each class with its _key to its end, which finds the
+first witness or proves there is none, so no class and member start a
+second search and no signature is computed.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import DimensionMismatchError, RegularSubalgebra, _reach, require_closed
-from .invariants import InvariantSignature, first_difference, signature
+from .invariants import first_difference
 
 PERM_SEARCH_MAX_N = 8  # bounds decide's resumed backtracking search only
 NO_WITNESS = "noPermutationWitness"  # separator of equal signatures with no witness
@@ -260,20 +259,19 @@ class ClassPartition:
     order: classes in the order of their first members, each class's
     member indices in index order.
 
-    classes holds the member indices of each class, and signatures one
-    signature per class.
+    classes holds the member indices of each class.
     witness_edges holds one (i, j, sigma) for every within-class pair i < j
     consecutive in index order: sigma is the lexicographically first
     permutation mapping member i onto member j, the witness decide prints,
-    re-verified by maps_onto.  The separator of classes c and d is
-    separate(signatures[c], signatures[d]) or NO_WITNESS, the name decide
-    gives their members.
+    re-verified by maps_onto.  The partition holds no signature: the
+    separator of two classes, the name decide gives their members, is
+    separate of their founders' signatures or NO_WITNESS, and
+    cli.cmd_classify, its one reader, computes it.
     """
 
     members: tuple[RegularSubalgebra, ...]
     classes: tuple[tuple[int, ...], ...]
     witness_edges: tuple[tuple[int, int, Perm], ...]
-    signatures: tuple[InvariantSignature, ...]
 
 
 def classify_family(members) -> ClassPartition:
@@ -282,58 +280,52 @@ def classify_family(members) -> ClassPartition:
 
     One pass over the members and one map, from a key (_key: the
     generator count and sorted RegularSubalgebra.colours) to its classes
-    in index order, each held as (members, founder's signature).  A
-    member takes decide's steps against the last member of each class
-    with its key: it runs the first descent from each and joins the
-    class whose descent reaches a leaf; only when all dead-end is its
-    signature computed, and then only the paused searches of classes
-    with an equal signature resume.  It joins the first that reaches a
-    leaf, or else founds a class.
+    in founding order.  For each class with its key, in that order, a
+    member runs the search from the class's last member to its end, and
+    joins the first class that yields a witness; else it founds a class.
 
     No other class admits a witness: a search from a class with another
-    _key ends at its setup, and signatures are conjugation invariants.
-    Witness existence is an equivalence, so a member joins at most one
-    class, through its last member.  A resumed search continues the same
-    lexicographic walk, so its leaf, like a descent's, is the search's
-    first: the edge (last, member, sigma) carries the lexicographically
-    first witness, the one decide(last, member) reports, re-verified by
-    maps_onto inside the search, and the edges link each class's members
-    consecutively in index order.  A class has its founder's signature,
-    and the separator of two classes is that of their signatures.
+    _key ends at its setup, and a complete search from any other class
+    ends without one, since witness existence is an equivalence.  So a
+    member joins at most one class, through its last member, and the edge
+    (last, member, sigma) carries the search's first leaf, the
+    lexicographically first witness, the one decide(last, member)
+    reports, re-verified by maps_onto inside the search; the edges link
+    each class's members consecutively in index order.
 
-    signature checks every founder's closure.  A member that joins is the
-    image of a closed member under a verified relabelling, which preserves
-    closure, so the first member that is not closed founds a class and
-    raises NotClosedError there.
+    require_closed checks every founder's closure.  A member that joins
+    is the image of a closed member under a verified relabelling, which
+    preserves closure, so the first member that is not closed founds a
+    class and raises NotClosedError there.
+
+    Cost: no signature field cuts a search, so every search against a
+    class with the member's key but other fields runs to its end.  At
+    n <= 8 a search is bounded, and the CLI classifies families only, which
+    take no longer without the fields.  Lists of Cartan-only spans are the
+    slow case, since only the fields told most of their classes apart: on
+    60 random independent full-support traceless spans with entries in
+    [-1, 1] (random.Random(7)), this takes 1.2 s at n = 7 with 3
+    generators, 3.9 s at n = 8 with 3 and 18.9 s at n = 8 with 4, against
+    0.38 s, 1.6 s and 5.3 s with a signature gate in front of the resumed
+    searches (Python 3.11, one Xeon core).
     """
     members = tuple(members)
-    by_key: dict[tuple, list[tuple[list[int], InvariantSignature]]] = {}
+    by_key: dict[tuple, list[list[int]]] = {}
     classes = []  # every class of by_key, in founding order
     edges = []
     for idx, m in enumerate(members):
         if m.n != members[0].n:
             raise DimensionMismatchError("members mix different n")
         near = by_key.setdefault(_key(m), [])
-        paused = []  # the searches whose first descent dead-ends, with their classes
-        for cls, cls_sig in near:
-            search = _witness_search(members[cls[-1]], m)
-            sigma = next(search, None)
+        for cls in near:
+            sigma = next(filter(None, _witness_search(members[cls[-1]], m)), None)
             if sigma is not None:
+                edges.append((cls[-1], idx, sigma))
+                cls.append(idx)
                 break
-            paused.append((cls, cls_sig, search))
         else:
-            sig = signature(m)
-            for cls, cls_sig, search in paused:
-                if cls_sig == sig:
-                    sigma = next(search, None)
-                    if sigma is not None:
-                        break
-            else:
-                near.append(([idx], sig))
-                classes.append(near[-1])
-                continue
-        edges.append((cls[-1], idx, sigma))
-        cls.append(idx)
+            require_closed(m)
+            near.append([idx])
+            classes.append(near[-1])
 
-    return ClassPartition(members, tuple(tuple(cls) for cls, _ in classes), tuple(edges),
-                          tuple(sig for _, sig in classes))
+    return ClassPartition(members, tuple(tuple(cls) for cls in classes), tuple(edges))

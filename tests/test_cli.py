@@ -490,6 +490,18 @@ class TestClassify:
             assert separators == sorted(separators, key=lambda e: (e["a"], e["b"]))
             assert len(separators) == report["classCount"] * (report["classCount"] - 1) // 2
 
+    def test_one_signature_per_class(self, capsys):
+        # the separators are named from each class founder's signature,
+        # the only signatures a classify report computes: 106 on the six
+        # families of the classify-n7 benchmark workload
+        cli.signature.cache_clear()
+        classes = 0
+        for extra in (["codim1"], ["codim2"], ["dim2"], *(["drc", "--k", str(k)] for k in (1, 2, 3))):
+            code, report, _ = run_json(capsys, "classify", "--n", "7", "--family", *extra)
+            assert code == 0
+            classes += report["classCount"]
+        assert classes == cli.signature.cache_info().misses == 106
+
     @pytest.mark.parametrize("n, extra, length, digests", CLASSIFY_REPORTS,
                              ids=[f"{n} {' '.join(extra)}" for n, extra, _, _ in CLASSIFY_REPORTS])
     def test_json_report_bytes(self, monkeypatch, n, extra, length, digests):

@@ -415,14 +415,13 @@ class TestClassifyFamily:
     def test_scan_result_is_reverified(self, monkeypatch):
         # the search re-verifies every leaf it reaches: with maps_onto
         # refusing every witness, decide and classify raise from a leaf of
-        # the first descent and from a leaf of the search resumed after a
-        # dead end
+        # the first descent and from a leaf reached after a dead end
         descent = (parse_descriptor("n=4; nil=(1,2),(1,3)"), parse_descriptor("n=4; nil=(2,3),(2,4)"))
         resumed = (parse_descriptor("n=5; nil=(1,2),(3,5),(4,5)"),
                    parse_descriptor("n=5; nil=(1,5),(2,3),(4,5)"))
         assert next(conjugacy._witness_search(*descent)) is not None
         assert next(conjugacy._witness_search(*resumed)) is None
-        assert signature(resumed[0]) == signature(resumed[1])  # so both resume the search
+        assert signature(resumed[0]) == signature(resumed[1])  # so decide resumes the search
         monkeypatch.setattr(conjugacy, "maps_onto", lambda a, sigma, b: False)
         for a, b in (descent, resumed):
             with pytest.raises(AssertionError, match="re-verification"):
@@ -430,21 +429,23 @@ class TestClassifyFamily:
             with pytest.raises(AssertionError, match="re-verification"):
                 classify_family([a, b])
 
-    def test_one_signature_per_class(self, monkeypatch):
-        # every member of the six classify-n7 families that joins a class
-        # is placed by the first descent, so only the founders compute a
-        # signature (the fields-first pass computed 437); each class and
-        # member start one search, which a dead end pauses (restarting it
-        # after the signature started 397); the members share 44 Cartan
-        # spans, each reduced once
+    def test_computes_no_field(self, monkeypatch):
+        # a search run to its end decides each class and member, so no
+        # signature field is computed: the six classify-n7 families form
+        # 106 classes, each class and member start one search (394), and
+        # the members share 44 Cartan spans, each reduced once
+        def fail(algebra):
+            raise AssertionError("classify_family computed a signature field")
+
         search, starts = conjugacy._witness_search, []
         monkeypatch.setattr(conjugacy, "_witness_search", lambda a, b: starts.append(1) or search(a, b))
+        monkeypatch.setattr(invariants, "_FIELD_KERNELS", {attr: fail for attr, _ in FIELD_ORDER})
+        signature.cache_clear()
         core._cartan_null.cache_clear()
         families = classify_n7_families()
-        signature.cache_clear()
         classes = sum(len(classify_family([alg for _, alg in members]).classes) for members in families)
-        assert (classes, signature.cache_info().misses, len(starts), core._cartan_null.cache_info().misses) == (
-            106, 106, 394, 44)
+        assert (classes, len(starts), core._cartan_null.cache_info().misses) == (106, 394, 44)
+        assert signature.cache_info().misses == 0
 
     def test_formats_no_descriptor(self, monkeypatch):
         # the report layout, descriptors included, is the CLI's
@@ -454,9 +455,9 @@ class TestClassifyFamily:
             classify_family([alg for _, alg in members])
 
     def test_closure_checked_past_a_class_of_the_same_colours(self):
-        # the last member has the colours of the class before it, so its
-        # first descent runs from that class and dead-ends, and its
-        # signature's closure check names it
+        # the last member has the colours of the class before it, so the
+        # search from that class runs and finds no witness, and the
+        # closure check of the class it founds names it
         members = [RegularSubalgebra(5, {(1, 2), (1, 3), (2, 3), (4, 5)}),
                    RegularSubalgebra(5, {(1, 2), (3, 4), (3, 5), (4, 5)}),
                    RegularSubalgebra(5, {(1, 2), (1, 3), (2, 5), (4, 5)})]
@@ -467,11 +468,12 @@ class TestClassifyFamily:
         assert len(classify_family(members[:2]).classes) == 1
 
     def test_cross_pairs_covered(self):
-        # one signature per class, and every pair of classes named as
-        # decide names their members (codim2 at n = 3 holds a pair with no witness)
+        # every pair of classes is named from their founders' signatures
+        # as decide names their members (codim2 at n = 3 holds a pair with
+        # no witness)
         for members in (enum_codim1(4), enum_codim2(3)):
             part = classify_family([alg for _, alg in members])
-            sigs = part.signatures
+            sigs = [signature(part.members[cls[0]]) for cls in part.classes]
             assert len(sigs) == len(part.classes)
             for c, d in combinations(range(len(part.classes)), 2):
                 a, b = part.members[part.classes[c][0]], part.members[part.classes[d][0]]
@@ -483,7 +485,7 @@ class TestClassifyFamily:
 
     def test_no_members(self):
         part = classify_family(())
-        assert (part.classes, part.witness_edges, part.signatures) == ((), (), ())
+        assert (part.members, part.classes, part.witness_edges) == ((), (), ())
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_founding_order(self, n):

@@ -150,5 +150,5 @@ class TestSerialization:
 
 
 def test_signature_cache_is_bounded():
-    # `verify --n 8` computes 789 signatures: none is evicted
+    # `verify --n 8` computes 114 signatures: none is evicted
     assert signature.cache_info().maxsize == SIGNATURE_CACHE_SIZE >= 4096
