@@ -14,21 +14,21 @@ symmetric group, and a complete search that finds no witness proves the
 pair distinct.
 
 The search runs depth first in lexicographic order, cutting a partial
-assignment only when the nil relation, the nil degrees or a dot product
-of the re-verification maps_onto, all of whose coordinates are already
-assigned, rules out every completion, so the witness found is the
-lexicographically first one, and maps_onto re-verifies it before the
-search yields it.  Its first descent, which takes the first target that
-passes at each depth, reaches that witness for most conjugate pairs, so
-decide runs it before any invariant and answers them from it.  Signatures
-are conjugation invariants: they separate the distinct pairs and name
-the field that separates them.  When the descent dead-ends, decide
-compares the two operands' fields in order, stops at the first that
-differs, and resumes the same search only when they all agree.
-classify_family needs no field: for each member it runs the search from
-the last member of each class with its _key to its end, which finds the
-first witness or proves there is none, so no class and member start a
-second search and no signature is computed.
+assignment only when the nil relation (one in-neighbour equality per
+target), the colours or a dot product of the re-verification maps_onto,
+all of whose coordinates are already assigned, rules out every
+completion, so the witness found is the lexicographically first one, and
+maps_onto re-verifies it before the search yields it.  Its first descent,
+which takes the first target that passes at each depth, reaches that
+witness for most conjugate pairs, so decide runs it before any invariant
+and answers them from it.  Signatures are conjugation invariants: they
+separate the distinct pairs and name the field that separates them.  When
+the descent dead-ends, decide compares the two operands' fields in order,
+stops at the first that differs, and resumes the same search only when
+they all agree.  classify_family needs no field: for each member it runs
+the search from the last member of each class with its _key to its end,
+which finds the first witness or proves there is none, so no class and
+member start a second search and no signature is computed.
 """
 
 from __future__ import annotations
@@ -117,14 +117,18 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
     passes maps_onto first, or AssertionError is raised.
 
     Depth-first search assigning sigma(1), sigma(2), ... in turn, trying
-    targets in increasing order.  A prefix sigma(1..k) is extended only
-    while no witness is ruled out below it:
+    targets in increasing order.  An assignment sigma(1..k) is extended
+    only while no witness is ruled out below it:
 
-    - colours (RegularSubalgebra.colours): k and its target agree on nil
-      out-degree, nil in-degree and whether the generator column is zero;
-    - the nil relation: for every assigned i < k, (i, k) and (k, i) are nil
-      positions of a iff (sigma i, sigma k) and (sigma k, sigma i) are nil
-      positions of b;
+    - colours (RegularSubalgebra.colours) pre-filter the targets: k and its
+      target agree on nil out-degree, nil in-degree and generator support;
+    - the nil relation, one equality: the in-neighbours of sigma(k) in b
+      (the u with (u, sigma k) nil) are the images of those of k in a, all
+      below k in the upper-triangular a, hence assigned.  With k's in-degree
+      (its colour) that is "(i, k) is nil in a iff (sigma i, sigma k) is
+      nil in b, for all assigned i".  It puts each assigned target's
+      in-neighbours among the targets assigned before it, so b has no nil
+      (sigma k, sigma i), as a has no nil (k, i): that needs no test;
     - the Cartan span: each row alpha of a.cartan_null belongs to one free
       column f of the reduced generators, and is nonzero only at f and at
       the pivots before f, so its last nonzero coordinate is f.  Once
@@ -133,13 +137,13 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
       With no generators (nil-only a and b) there is nothing to check.
 
     Equal colour multisets give equal nil counts, since the out-degrees sum
-    to the count.  A full assignment maps the nil set of a exactly onto
-    that of b, and every pulled-back generator of b is orthogonal to
-    every row of a.cartan_null, hence lies in span(a); the generator counts
-    are equal, so the spans are (the proof of maps_onto).  Every cut branch
-    fails a check that every completion would fail too, so no witness is
-    cut, and the first leaf reached is the first witness of the
-    lexicographic scan over all n! permutations.
+    to the count.  At a leaf the equality holds at every k, so sigma maps
+    the nil set of a onto that of b, and every pulled-back generator of b
+    is orthogonal to every row of a.cartan_null, hence lies in span(a); the
+    generator counts are equal, so the spans are (the proof of maps_onto).
+    Every cut branch fails a check that every completion would fail too, so
+    no witness is cut, and the first leaf reached is the first witness of
+    the lexicographic scan over all n! permutations.
 
     The first descent is the search up to its first backtrack: at each
     depth it takes the first target that passes, so it visits at most n
@@ -152,7 +156,6 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
         return
     n = a.n
     gens = b.cartan_gens
-    a_out, b_out = a.nil_rows, b.nil_rows
     a_in, b_in = a.nil_cols, b.nil_cols
     targets_of: dict[int, list[int]] = {}  # the targets of each colour, increasing
     for t, colour in enumerate(b.colours):
@@ -170,14 +173,12 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
     targets = None
     while True:
         if targets is None:  # entering depth k with sigma(1..k) assigned
-            prefix = (1 << k) - 1
-            want_out = _reach(sigma_bit, a_out[k] & prefix)
-            want_in = _reach(sigma_bit, a_in[k] & prefix)
+            want_in = _reach(sigma_bit, a_in[k])  # a_in[k] lies below k
             row = ending[k]
             head = None if row is None else [sum(x * w[s] for x, s in zip(row, sigma[:k])) for w in gens]
             targets = iter(candidates[k])
         for t in targets:
-            if used >> t & 1 or b_out[t] & used != want_out or b_in[t] & used != want_in:
+            if used >> t & 1 or b_in[t] != want_in:
                 continue
             if row is not None and any(row[k] * w[t] + h for w, h in zip(gens, head)):
                 continue
@@ -190,7 +191,7 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
                 return
             k -= 1
             used ^= sigma_bit[k]
-            targets, want_out, want_in, row, head = paused.pop()
+            targets, want_in, row, head = paused.pop()
             continue
         sigma[k], sigma_bit[k] = t, 1 << t
         if k == n - 1:
@@ -199,7 +200,7 @@ def _witness_search(a: RegularSubalgebra, b: RegularSubalgebra) -> Iterator[Perm
                 raise AssertionError("witness failed re-verification")
             yield witness
             return
-        paused.append((targets, want_out, want_in, row, head))
+        paused.append((targets, want_in, row, head))
         used |= 1 << t
         k += 1
         targets = None

@@ -63,8 +63,6 @@ class CartanRecord:
     adj_row_dim: int
     adj_max_rank: int
 
-    to_json = _to_json
-
 
 @dataclass(frozen=True)
 class InvariantSignature:

@@ -39,6 +39,7 @@ from regalg.families import (
 from regalg.invariants import FIELD_ORDER, separate, signature
 
 import bruteforce
+from search_counts import SearchCounts
 from wide_spans import WIDE_SPAN_G12
 
 
@@ -234,18 +235,22 @@ class TestDecide:
         assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
             "6597c2c36534ebcaa706cbaa2c647cf921d726164e7758df4569637956ec8a4e")
 
-    def test_decide_stream_verdicts(self):
+    def test_decide_stream_verdicts(self, monkeypatch):
         # every pair the benchmark's decide-stream workload draws for seed 1,
         # passes 0-9, read from its input generator; a change to those draws
         # regenerates this digest, as does a change to a kind, witness or
-        # separator
+        # separator.  Each pair starts one search: 726 are refused at the
+        # search's setup, 309 first descents dead-end, and 47 of the
+        # searches resumed from there end without a witness
         path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
         spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
         inputs = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(inputs)
         ops = [op for p in range(10) for op in inputs.workload_inputs("decide-stream", 1, p)]
+        monkeypatch.setattr(conjugacy, "_witness_search", counts := SearchCounts())
         verdicts = [astuple(decide(parse_descriptor(op["a"]), parse_descriptor(op["b"]))) for op in ops]
         assert (len(verdicts), sum(kind == "conjugate" for kind, _, _ in verdicts)) == (1_800, 959)
+        assert (counts.starts, counts.refused, counts.dead_ends, counts.without_witness) == (1_800, 726, 309, 47)
         assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
             "9c4812dd68c172125258632356944a22ef194984488009ca35eb742f52cf80d6")
 
@@ -433,18 +438,21 @@ class TestClassifyFamily:
         # a search run to its end decides each class and member, so no
         # signature field is computed: the six classify-n7 families form
         # 106 classes, each class and member start one search (394), and
-        # the members share 44 Cartan spans, each reduced once
+        # the members share 44 Cartan spans, each reduced once.  Searches
+        # run within a key only, so none is refused at its setup; 51 first
+        # descents dead-end, and all 51 searches resumed there end without
+        # a witness
         def fail(algebra):
             raise AssertionError("classify_family computed a signature field")
 
-        search, starts = conjugacy._witness_search, []
-        monkeypatch.setattr(conjugacy, "_witness_search", lambda a, b: starts.append(1) or search(a, b))
+        monkeypatch.setattr(conjugacy, "_witness_search", counts := SearchCounts())
         monkeypatch.setattr(invariants, "_FIELD_KERNELS", {attr: fail for attr, _ in FIELD_ORDER})
         signature.cache_clear()
         core._cartan_null.cache_clear()
         families = classify_n7_families()
         classes = sum(len(classify_family([alg for _, alg in members]).classes) for members in families)
-        assert (classes, len(starts), core._cartan_null.cache_info().misses) == (106, 394, 44)
+        assert (classes, counts.starts, core._cartan_null.cache_info().misses) == (106, 394, 44)
+        assert (counts.refused, counts.dead_ends, counts.without_witness) == (0, 51, 51)
         assert signature.cache_info().misses == 0
 
     def test_formats_no_descriptor(self, monkeypatch):
