@@ -294,15 +294,16 @@ def dimension_bound(algebra: RegularSubalgebra, missing: tuple[int, int]) -> int
 # largest n parse_descriptor admits: min_rank (the minimum
 # distance of a code, NP-hard) is slowest when the span has about n/2
 # generators; over three random spans per g at n = 20 (entries in
-# [-3, 3]), its worst measured case is about 1 s, at g = 11 and 12, and
-# g = 18 takes 0.02 s (one core of a shared 2-vCPU VM, Python 3.11)
+# [-3, 3]), its worst measured case is about 0.9 s of CPU, at g = 11 and
+# 12 (tests/wide_spans.py: 0.8 s at g = 12), and g = 18 takes 0.03 s (one
+# core of a shared 2-vCPU VM, Python 3.11)
 DESCRIPTOR_MAX_N = 20
 # largest magnitude of a diag(...) entry parse_descriptor admits: the
 # integers of min_rank's eliminations grow with the entries, and so does
 # its time.  Over three random spans per g = 9..13 at n = 20, the slowest
-# signature takes 2.0 s with entries in [-10, 10], 2.7 s in [-1000, 1000]
-# (g = 12), 3.6 s up to 10^6 and 5.8 s up to 10^12 (one core of a shared
-# 2-vCPU VM, Python 3.11)
+# signature takes 1.1 s of CPU with entries in [-10, 10], 1.8 s in
+# [-1000, 1000] (g = 11), 2.4 s up to 10^6 and 3.8 s up to 10^12 (one
+# core of a shared 2-vCPU VM, Python 3.11)
 DIAG_ENTRY_MAX = 1000
 
 _NIL_PAIR = re.compile(r"\((\d+),(\d+)\)")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import RegularSubalgebra, require_closed
 from .starcalc import action_dim_seq, derived_series_dims, generic_max_rank, min_rank, root_classes
@@ -21,21 +22,24 @@ def _camel(attr: str) -> str:
 
 
 def _to_json(value):
-    """JSON form of a record: its fields in declared order under camelCase
-    names, tuples as lists."""
+    """JSON form of a record (a dataclass or a named tuple): its fields in
+    declared order under camelCase names, other tuples as lists."""
     if is_dataclass(value):
         return {_camel(f.name): _to_json(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "_fields"):
+        return {_camel(name): _to_json(x) for name, x in zip(value._fields, value)}
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
     return value
 
 
-@dataclass(frozen=True, order=True)
-class CartanRecord:
+class CartanRecord(NamedTuple):
     """Invariants of the adjoint action of one root vector e_p - e_q of the
     diagonal span on the nil part, ordered field by field: the supports of
     the images of the full column and row vectors under its adjoint pattern,
-    and that pattern's generic rank (cartan_record computes them).
+    and that pattern's generic rank (cartan_record computes them).  A named
+    tuple, so a signature's records are built and sorted as plain tuples;
+    _to_json writes it as a JSON object under its fields' camelCase names.
 
     The adjoint pattern is a cross.  [e_p - e_q, E_ij] = (h_i - h_j) E_ij
     with h = e_p - e_q, and h_i = h_j iff neither i nor j is p or q, so the

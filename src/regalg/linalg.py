@@ -2,9 +2,10 @@
 
 Every row operation is one fraction-free step, _eliminate: a cross
 multiplication followed by division by the gcd, so an eliminated row is
-a primitive integer vector.  annihilator runs the one reduction; there
-is no floating point and no fraction anywhere, so span comparisons are
-exact.
+a primitive integer vector.  Its start offset lets a caller that needs
+only the columns after the pivot (starcalc.min_rank) build only those.
+annihilator runs the one reduction; there is no floating point and no
+fraction anywhere, so span comparisons are exact.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from __future__ import annotations
 from math import gcd, lcm
 
 
-def _eliminate(row, pivot, col: int) -> list[int]:
-    """pivot[col] * row - row[col] * pivot, divided by the gcd of its entries:
-    row with column col cleared.  Zero sets, and signs when pivot[col] > 0,
-    are those of the exact rational step."""
-    out = [pivot[col] * x - row[col] * y for x, y in zip(row, pivot)]
+def _eliminate(row, pivot, col: int, start: int = 0) -> list[int]:
+    """pivot[col] * row - row[col] * pivot from entry start on, divided by
+    the gcd of those entries: row with column col cleared.  Zero sets, and
+    signs when pivot[col] > 0, are those of the exact rational step.  A
+    start past col builds only the tail after the pivot column."""
+    a, b = pivot[col], row[col]
+    out = [a * x - b * y for x, y in zip(row[start:], pivot[start:])]
     divisor = gcd(*out)
     return [x // divisor for x in out] if divisor > 1 else out
 

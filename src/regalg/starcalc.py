@@ -13,6 +13,7 @@ i-1 for coordinate i.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
 
 from . import linalg
@@ -144,6 +145,11 @@ def min_rank(algebra: RegularSubalgebra) -> int:
     columns seen since s_k and j itself.  Every count is at most the zero
     set of some nonzero x, because the columns it counts lie in a flat of
     rank at most g - 1; and along the first basis of F it is exactly |F|.
+    A child's rows are the other rows with the pivot's column cleared by
+    linalg._eliminate, which builds only their tails after it; a row
+    already zero there is carried as its tail, unreduced and unscaled.
+    Zero sets and parallel classes do not depend on a row's scale, so
+    neither the nodes visited nor the answer do.
 
     A node of two rows (g - 2 pivots) is a leaf and reads its hyperplanes
     off: the contraction has rank 2, and the hyperplanes of a rank-2
@@ -177,7 +183,7 @@ def min_rank(algebra: RegularSubalgebra) -> int:
     gens = algebra.cartan_gens
     best = max(len(gens) - 1, max(v.count(0) for v in gens))
 
-    def search(rows: list[list[int]], base: int) -> None:
+    def search(rows: Sequence[Sequence[int]], base: int) -> None:
         nonlocal best
         if len(rows) == 2:
             zeros = 0
@@ -196,14 +202,16 @@ def min_rank(algebra: RegularSubalgebra) -> int:
         for j in range(width):
             if base + zeros + width - j <= best:
                 return
-            pivot = next((row for row in rows if row[j]), None)
-            if pivot is None:
+            for pivot in rows:
+                if pivot[j]:
+                    break
+            else:
                 zeros += 1  # column j lies in the closure of the pivots
                 continue
-            tail = pivot[j:]
-            rest = [linalg._eliminate(row[j:], tail, 0)[1:] for row in rows if row is not pivot]
+            rest = [linalg._eliminate(row, pivot, j, j + 1) if row[j] else row[j + 1:]
+                    for row in rows if row is not pivot]
             search(rest, base + zeros + 1)
 
     if len(gens) >= 2 and best < n - 2:
-        search([list(v) for v in gens], 0)
+        search(gens, 0)
     return n - best

@@ -1,11 +1,16 @@
-"""A counting stand-in for the package's witness search
-(conjugacy._witness_search).  Tests and CI install it in the search's place
-to pin how many searches a decision or a partition starts and how they end.
+"""Counters of the package's searches.  SearchCounts is a counting
+stand-in for the witness search (conjugacy._witness_search) that tests and
+CI install in the search's place to pin how many searches a decision or a
+partition starts and how they end; min_rank_nodes counts the nodes of
+min_rank's hyperplane search.
 """
 
 from __future__ import annotations
 
-from regalg import conjugacy
+import sys
+from types import CodeType
+
+from regalg import conjugacy, starcalc
 
 
 class SearchCounts:
@@ -42,3 +47,25 @@ class SearchCounts:
             self.refused += 1
         elif steps == [None]:
             self.without_witness += 1
+
+
+def min_rank_nodes(algebra) -> tuple[int, int]:
+    """starcalc.min_rank(algebra) and the number of nodes its search visits:
+    the calls of its inner function search, counted through sys.setprofile
+    by the function's code object."""
+    search = next(c for c in starcalc.min_rank.__code__.co_consts
+                  if isinstance(c, CodeType) and c.co_name == "search")
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code is search:
+            nodes += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        answer = starcalc.min_rank(algebra)
+    finally:
+        sys.setprofile(previous)
+    return answer, nodes

@@ -190,6 +190,13 @@ SPAN_AND_RELABELING = (RegularSubalgebra(6, frozenset(), SPAN_GENERATORS), (2, 6
 # (0, -1) and (0, 3), one parallel class with mixed signs; so does
 # contracting any of the last three.
 @example([[0, 1, 1, -2, 0, 0, 0], [-1, -1, -2, 0, 0, 1, 3], [-1, 0, 1, 0, -2, 2, 0]])
+# generators that are not primitive, the other rows zero at the first
+# pivot column: those rows are carried to the child unreduced and unscaled,
+# into the two-row count (the first), through a further elimination (the
+# second), or past a pivot row that is not the first (the third)
+@example([[2, 0, -2, 4, -4], [0, 2, 2, -2, -2], [0, 0, 2, 2, -4]])
+@example([[3, 0, 0, -3, 6, -6], [0, 2, 0, 4, -2, -4], [0, 2, 4, -4, 2, -4], [0, 0, 0, 2, 2, -4]])
+@example([[0, 3, -3, 6, 0, -6], [2, 0, 2, -2, -4, 2], [0, -4, 4, 0, 4, -4]])
 def test_min_rank_is_the_min_support(gens):
     algebra = RegularSubalgebra(len(gens[0]), frozenset(), gens)
     assert min_rank(algebra) == bruteforce.min_support(algebra)

@@ -26,6 +26,8 @@ from regalg.invariants import signature
 
 import bruteforce
 from bruteforce import adjoint_image_pattern, col_action, indices, pattern, positions, row_action
+from search_counts import min_rank_nodes
+from wide_spans import WIDE_SPAN_G12, WIDE_SPAN_G18
 
 
 def patterns(n):
@@ -296,6 +298,14 @@ class TestMinRank:
         monkeypatch.setattr(starcalc, "root_classes", fail)
         monkeypatch.setattr(linalg, "_eliminate", fail)
         assert min_rank(algebra) == 2
+
+    @pytest.mark.parametrize("span, nodes", [(WIDE_SPAN_G18, 969), (WIDE_SPAN_G12, 92_378)],
+                             ids=["g18", "g12"])
+    def test_wide_span_search_nodes(self, span, nodes):
+        # the search's exact work at the descriptor bound: a change to how
+        # a node computes must not change which nodes it visits
+        descriptor, expected = span
+        assert min_rank_nodes(parse_descriptor(descriptor)) == (expected, nodes)
 
     def test_wide_vector_upper_bound(self):
         assert min_rank(RegularSubalgebra(4, frozenset(), ((1, 1, -1, -1),))) == 4
