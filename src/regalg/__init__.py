@@ -1,6 +1,6 @@
 """regalg: exact-arithmetic toolkit for regular upper-triangular
-subalgebras of sl(n) - brackets, closure, star-pattern calculus,
-conjugacy invariants, permutation witnesses, and family enumeration."""
+subalgebras of sl(n) - closure, star-pattern calculus, conjugacy
+invariants, permutation witnesses, and family enumeration."""
 
 from .core import (
     DescriptorError,
@@ -9,7 +9,6 @@ from .core import (
     Nil,
     NotClosedError,
     RegularSubalgebra,
-    bracket,
     closure_defect,
     dimension_bound,
     format_descriptor,
@@ -42,7 +41,6 @@ __all__ = [
     "Nil",
     "NotClosedError",
     "RegularSubalgebra",
-    "bracket",
     "classify_family",
     "closure_defect",
     "decide",
@@ -57,9 +55,9 @@ __all__ = [
     "h_vector",
     "is_closed",
     "make_drc",
-    "recipe_witness",
     "parse_descriptor",
     "permute_subalgebra",
+    "recipe_witness",
     "require_closed",
     "separate",
     "signature",

@@ -304,8 +304,13 @@ def _add_members(p: argparse.ArgumentParser) -> None:
     p.add_argument("--index", type=int, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, in the form of every other error
+        self.exit(2, f"regalg: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regalg",
         description="Regular upper-triangular subalgebras of sl(n): "
                     "enumeration, invariants, conjugacy, verification.",

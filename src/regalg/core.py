@@ -1,4 +1,4 @@
-"""Basis elements, the subalgebra data model, exact brackets, and closure.
+"""Basis elements, the subalgebra data model, and closure.
 
 A regular upper-triangular subalgebra of sl(n) is stored as a set of
 strictly-upper nilpotent positions (i, j) plus a list of traceless integer
@@ -68,8 +68,6 @@ class Diag:
         return len(self.entries)
 
 
-BasisElement = Nil | Diag
-
 # spans whose annihilator _cartan_null keeps; a classification builds many
 # members over few spans (the 351 algebras of enum_dim2(7) use 22)
 CARTAN_NULL_CACHE_SIZE = 4096
@@ -96,30 +94,6 @@ def h_pq_vector(n: int, p: int, q: int) -> tuple[int, ...]:
     v[p - 1] = 1
     v[q - 1] = -1
     return tuple(v)
-
-
-def bracket(a: BasisElement, b: BasisElement) -> dict[BasisElement, int]:
-    """Exact commutator [a, b] expanded over the standard basis, as
-    {basis element: nonzero coefficient}; the empty dict is zero.
-
-    For two matrix units the product rule gives delta_{jk} E_il - delta_{li} E_kj;
-    a diagonal d acts on E_ij as the scalar d_i - d_j; diagonals commute.
-    """
-    if a.n != b.n:
-        raise DimensionMismatchError(f"operands have n={a.n} and n={b.n}")
-    if isinstance(a, Nil) and isinstance(b, Nil):
-        out = {}
-        if a.col == b.row:
-            out[Nil(a.n, a.row, b.col)] = 1
-        if b.col == a.row:
-            out[Nil(a.n, b.row, a.col)] = -1
-        return out
-    if isinstance(a, Diag) and isinstance(b, Nil):
-        c = a.entries[b.row - 1] - a.entries[b.col - 1]
-        return {b: c} if c else {}
-    if isinstance(a, Nil) and isinstance(b, Diag):
-        return {e: -c for e, c in bracket(b, a).items()}
-    return {}
 
 
 @dataclass(frozen=True)

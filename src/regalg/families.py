@@ -1,10 +1,10 @@
-"""Enumeration of the named subalgebra families, and the dimension-2 oracle.
+"""Enumeration of the named subalgebra families.
 
 The codimension-1, codimension-2 and D/R/C enumerators build every member
 by one removal rule, _removal: the full solvable algebra less a set of nil
 positions and a set of diagonal generators H_k.  The two-element spans are
-rediscovered by a bracket expansion, enum_all_dim2_oracle.  Published count
-formulas are report-only reference values, never the enumeration
+the pairs of standard basis elements that pass the closure test.  Published
+count formulas are report-only reference values, never the enumeration
 mechanism.  The published conjugators between labelled members are kept
 here too, as witness recipes read off the label indices; the conjugacy
 layer re-verifies each one like any other witness.
@@ -20,7 +20,6 @@ from .core import (
     DimensionMismatchError,
     Nil,
     RegularSubalgebra,
-    bracket,
     full_nil_set,
     h_vector,
     is_closed,
@@ -201,19 +200,6 @@ def enum_dim2(n: int) -> list[Member]:
         algebra = _pair_algebra(n, a, b)
         if is_closed(algebra):
             out.append((dim2_label(n, a, b), algebra))
-    return out
-
-
-def enum_all_dim2_oracle(n: int) -> list[RegularSubalgebra]:
-    """Unlabelled ground truth for the two-element spans: closure is decided
-    by expanding the bracket of the two generators and checking every term
-    stays inside the pair, independent of the pairwise position test."""
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    out = []
-    for a, b in combinations(standard_basis(n), 2):
-        if set(bracket(a, b)) <= {a, b}:
-            out.append(_pair_algebra(n, a, b))
     return out
 
 

@@ -3,7 +3,10 @@
 Everything here recomputes results through exact rational linear algebra
 (Fraction row reduction, kept apart from the package's integer kernel) on
 explicit bracket expansions, deliberately avoiding the boolean-pattern
-shortcuts of the package under test.  The adjoint pattern
+shortcuts of the package under test.  bracket is the tests' one exact
+bracket: the span oracles expand it, the bracket laws are checked on it,
+and closed_dim2_spans, the dimension-2 oracle that families.enum_dim2 is
+compared with, decides closure with it.  The adjoint pattern
 adjoint_image_pattern and the pattern actions col_action and row_action
 are the direct loops over a pattern's rows that the closed-form Cartan
 records are checked against.  witness_scan alone is no oracle: it runs
@@ -19,7 +22,8 @@ from itertools import combinations, permutations
 from math import gcd
 
 from regalg.conjugacy import _witness_search
-from regalg.core import DimensionMismatchError, RegularSubalgebra, full_nil_set, h_pq_vector
+from regalg.core import Diag, DimensionMismatchError, Nil, RegularSubalgebra, full_nil_set, h_pq_vector
+from regalg.families import standard_basis
 from regalg.starcalc import root_classes
 
 RANK_TRIALS = 3
@@ -182,7 +186,7 @@ def annihilator(rows, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-class _Element:
+class Element:
     """Exact algebra element: coefficients on matrix units plus a diagonal."""
 
     __slots__ = ("n", "nil", "diag")
@@ -192,13 +196,28 @@ class _Element:
         self.nil = dict(nil or {})
         self.diag = list(diag) if diag is not None else [Fraction(0)] * n
 
+    def entries(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero matrix entries, {(row, col): value}, diagonal included."""
+        out = {p: c for p, c in self.nil.items() if c}
+        out.update(((k, k), d) for k, d in enumerate(self.diag, start=1) if d)
+        return out
+
     def is_zero(self):
-        return all(c == 0 for c in self.nil.values()) and all(d == 0 for d in self.diag)
+        return not self.entries()
 
 
-def _elem_bracket(x: _Element, y: _Element) -> _Element:
+def element(b: Nil | Diag) -> Element:
+    """A standard basis element (families.standard_basis) as an Element."""
+    if isinstance(b, Nil):
+        return Element(b.n, nil={(b.row, b.col): Fraction(1)})
+    return Element(b.n, diag=[Fraction(x) for x in b.entries])
+
+
+def bracket(x: Element, y: Element) -> Element:
+    """The commutator xy - yx, expanded over the matrix units; diagonals
+    commute, so it has no diagonal part."""
     n = x.n
-    out = _Element(n)
+    out = Element(n)
     for (i, j), a in x.nil.items():
         if a == 0:
             continue
@@ -220,7 +239,17 @@ def _elem_bracket(x: _Element, y: _Element) -> _Element:
     return out
 
 
-def _to_vector(el: _Element, positions):
+def jacobi_sum(x: Element, y: Element, z: Element) -> dict[tuple[int, int], Fraction]:
+    """The nonzero entries of [x,[y,z]] + [y,[z,x]] + [z,[x,y]], which the
+    Jacobi identity makes empty."""
+    total: dict[tuple[int, int], Fraction] = {}
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        for p, v in bracket(a, bracket(b, c)).entries().items():
+            total[p] = total.get(p, 0) + v
+    return {p: v for p, v in total.items() if v}
+
+
+def _to_vector(el: Element, positions):
     vec = [Fraction(0)] * (len(positions) + el.n)
     for idx, p in enumerate(positions):
         vec[idx] = el.nil.get(p, Fraction(0))
@@ -230,7 +259,7 @@ def _to_vector(el: _Element, positions):
 
 
 def _from_vector(vec, positions, n):
-    el = _Element(n)
+    el = Element(n)
     for idx, p in enumerate(positions):
         if vec[idx] != 0:
             el.nil[p] = vec[idx]
@@ -248,15 +277,15 @@ def span_derived_series(algebra: RegularSubalgebra):
     positions = sorted(full_nil_set(n))
     current = []
     for (i, j) in sorted(algebra.nil_set):
-        current.append(_Element(n, nil={(i, j): Fraction(1)}))
+        current.append(Element(n, nil={(i, j): Fraction(1)}))
     for v in algebra.cartan_gens:
-        current.append(_Element(n, diag=[Fraction(x) for x in v]))
+        current.append(Element(n, diag=[Fraction(x) for x in v]))
     dims = [len(current)]
     patterns = []
     while dims[-1] != 0:
         produced = []
         for x, y in combinations(current, 2):
-            b = _elem_bracket(x, y)
+            b = bracket(x, y)
             if not b.is_zero():
                 produced.append(_to_vector(b, positions))
         basis = rref(produced) if produced else []
@@ -305,11 +334,11 @@ def brute_commutator_dim(algebra: RegularSubalgebra) -> int:
     """Dimension of the commutator: exact rank of all pairwise brackets."""
     n = algebra.n
     positions = sorted(full_nil_set(n))
-    elements = [_Element(n, nil={(i, j): Fraction(1)}) for (i, j) in sorted(algebra.nil_set)]
-    elements += [_Element(n, diag=[Fraction(x) for x in v]) for v in algebra.cartan_gens]
+    elements = [Element(n, nil={(i, j): Fraction(1)}) for (i, j) in sorted(algebra.nil_set)]
+    elements += [Element(n, diag=[Fraction(x) for x in v]) for v in algebra.cartan_gens]
     produced = []
     for x, y in combinations(elements, 2):
-        b = _elem_bracket(x, y)
+        b = bracket(x, y)
         if not b.is_zero():
             produced.append(_to_vector(b, positions))
     return rank(produced) if produced else 0
@@ -447,3 +476,19 @@ def closed_nil_sets(n: int) -> list[frozenset[tuple[int, int]]]:
                     grown.append(nil | {(i, j) for i in column})
         sets = grown
     return sets
+
+
+def closed_dim2_spans(n: int) -> list[RegularSubalgebra]:
+    """The closed spans of two distinct standard basis elements, by bracket
+    expansion: a pair is closed iff the bracket of its two elements lies in
+    their span, one exact rank test per pair.  The unlabelled oracle for
+    families.enum_dim2, which decides closure on the nil pattern instead."""
+    positions = sorted(full_nil_set(n))
+    out = []
+    for a, b in combinations(standard_basis(n), 2):
+        pair = [_to_vector(element(e), positions) for e in (a, b)]
+        if in_span(_to_vector(bracket(element(a), element(b)), positions), pair):
+            nil = {(e.row, e.col) for e in (a, b) if isinstance(e, Nil)}
+            gens = tuple(e.entries for e in (a, b) if isinstance(e, Diag))
+            out.append(RegularSubalgebra(n, frozenset(nil), gens))
+    return out

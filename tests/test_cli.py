@@ -514,27 +514,27 @@ class TestClassify:
 # every verify --suite all report, n = 2..8: (n, json byte length, sha256 of
 # the json, table and csv text)
 VERIFY_REPORTS = [
-    (2, 1_704, ("5f6dbeb72a8c22533b23b80ef0f393f3d2116400452edc8c3fc79d0532e17832",
-                "695e190d50a9d0c837b304c49426d2e7ebd47bb39792800974c6fef9722694d2",
-                "39d9a8bebac81dac2ab8e524d9543b477a7f576c118dbf3390136796e9c9e3f9")),
-    (3, 3_578, ("88b6d06860d21e36f689a6d475567b5d21c200bf1fd1549f291f26245164a227",
-                "95ad73598cc8edd87d820d9370a2f0716a72d32b2b3d1de4d2599d974cbf1b0b",
-                "0d2ff302b1554ee87cc21cab9d1f31ccc71521f05937c5203efe2abcee1f5214")),
-    (4, 3_672, ("12a1f8d638862fb802279e81434e2365786a3189dd6f588314acc398c5aab268",
-                "2c67ab2996ed9d352affc39e2b81a7828ff4ebadc0282c6c28935923c3d87656",
-                "113f0c3bc8b2ce2ba4e1446c4b02709784286fbae0c17fec3287bbc86e4a3d9f")),
-    (5, 3_819, ("0472c10cbb33cd62879a4457f4daab7147ecac54258e20749248bb345fd7cda7",
-                "ce42d9579b88b60bfe77349cc762acf310a551daa5d10562bf6a8eb912e71717",
-                "2ffed407bf202dc3b113cae1b02993af5ffbb7839dca5143f8b42b7406111d38")),
-    (6, 4_041, ("4c96cd6e128de6056c03b6c0b0ded4cb20aecf4ece60b800931a100f900ce36c",
-                "d376d67ab88a1aaaf3011893bf087effa1c95aa9efe0a69b03bc902c8eea3a91",
-                "b0498285e3d8a66a2c621165832c93828974e7930ad7a09ce62b5ea1cb85f1f7")),
-    (7, 4_260, ("8e75dadef1732eaabbb1d1e2f758f4b785f982778b7c5f3676fee572cf9b1812",
-                "1b32763dc07ac6b2f5a6979e132695cd678d2816849e5a3ecf8ad531be62dfb9",
-                "06e0825ccf44cf336ab0e06422769fd819417b418ed0b5def46988d2c45724f6")),
-    (8, 4_487, ("52d165a9888b30cfa67b33b09e5891bc2e2ddff71d0ccc5d22b13a4fce0664f9",
-                "976ba154dd2fab3c8ddc342d718646f417459fed4bbc0323f87e204aed00d2b5",
-                "52e92daebde69e4f432fda3456d3d2bf4299433a7b44234eedbd5612392e6a65")),
+    (2, 1_432, ("8a3c18679ca8186eafb47acc4d4e4b03558f7fb649bd5ff109a4ebd0feb797c0",
+                "721357aed1dd65dece1c3f7cfed67efdb74b15beaadb5f07782e019cd5bca366",
+                "60258c35721fee653639384f803fa772cc5a29b858254fd73872a308fd6939b9")),
+    (3, 3_142, ("9c612616da51e5c6de2b4aabcad8c94162c5f8dba29add9e1dfe1e2e639b942e",
+                "2bf9a87eabda3bcc600c8b89dcd934766c9111ccfbf1872bf0fd0e86f4be494e",
+                "445292fe52463afdd17dae8c3b43f1592e07bbc0c43c2ce91e49fe17ee935632")),
+    (4, 3_235, ("ef06df4a24f52c63f9bb67b8147deae41c3a6d92304f071ec7dbfa19c9d34a9e",
+                "6bf01609c98011a7b8e152bdc9cfdb0d05ffd5645c2402baf6d03fc8a3ab3c6e",
+                "59be6e735decd1cc37d9894d4ec33059dc89cf51edf6343a2dc929f10af6e8f1")),
+    (5, 3_382, ("7c6bc549de393bbbee8914fc39407255f95b3c2d38a15be90aafce9a9bc84714",
+                "2b06ec625fd28c606c4eb768aaa286cc22cf3ae93adfed40ebbfd0439fd4268d",
+                "e81b090240362583b3dbd14526eca1412f3b62ad47051ec11cc8a729b71c2490")),
+    (6, 3_603, ("adfd6c261506420093303ea38eb77f7b799eb4098a016ed6eb3bcb8e6ab948fa",
+                "13021145b5c434c9a597dcad1e6cb6c0bed3adc7c006de3f4e8a1293a21072bc",
+                "dfc30eecd9370d003c4a844970e72d56fe6831d64d247de9cf5a363600088829")),
+    (7, 3_822, ("cb5518233ae61e83c96fb4b242db4fd8f4895be86e5f97673a206fc438373ed3",
+                "40fa701ce61513deceed54394414391ef648407bf794f9fcea56ff968d8e16dc",
+                "ba9a375bd794fa4bab46e4f9bcbfd94d3fe39abc7bbaeb93e0ade1462de7b022")),
+    (8, 4_049, ("7dc668d9e336ada08303e1f0c0fea28e779d5621266fb8797c30c4c84e28d606",
+                "b6e6551cbf6644ea822bb62841ba499b051e3d2f4d2adf5188ffd2e83fc8e5cc",
+                "59c1973316d7864ba84bf7a5b70c516db76981cdd4b7219a80c2bb6f0a12f655")),
 ]
 
 
@@ -620,15 +620,9 @@ class TestVerify:
         assert code == 0 and len(out.encode()) == length
         assert report_digests(report, out) == digests
 
-    def test_dim2_oracle_runs_at_the_top_of_the_range(self, capsys):
-        code, report, _ = run_json(capsys, "verify", "--suite", "dim2", "--n", "8")
-        oracle = next(r for r in report["rows"] if r["check"] == "dim2-enum-oracle")
-        assert code == 0 and oracle["result"] == "PASS" and oracle["warnings"] == 0
-        assert oracle["details"].startswith("539 labelled spans")
-
     def test_kernels_suite_at_n2(self, capsys):
         code, report, _ = run_json(capsys, "verify", "--suite", "kernels", "--n", "2")
-        assert code == 0 and report["passed"] == 4 and report["failed"] == 0
+        assert code == 0 and report["passed"] == 2 and report["failed"] == 0
 
     def test_all_suite_at_n2_skips_the_n3_suites(self, capsys):
         code, report, _ = run_json(capsys, "verify", "--suite", "all", "--n", "2")
@@ -774,6 +768,21 @@ class TestDeterminismAndPlumbing:
         with pytest.raises(SystemExit) as info:
             main(["enumerate", "--n", "4", "--family", "everything"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--n", "x", "--family", "dim2"),
+        ("classify", "--n", "4", "--family", "everything"),
+        ("classify", "--n", "4", "--family", "dim2", "--bogus"),
+        ("classify", "--family", "dim2"),
+        (),
+    ], ids=["bad-int", "unknown-family", "unrecognized-flag", "missing-n", "no-command"])
+    def test_argument_error_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("regalg: ") and captured.err.endswith("\n")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ("invariants", "n={}; nil=; cartan=H1"),

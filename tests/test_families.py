@@ -12,7 +12,6 @@ from regalg.families import (
     drc_reference_codim,
     drc_removed_positions,
     drc_valid_indices,
-    enum_all_dim2_oracle,
     enum_codim1,
     enum_codim2,
     enum_dim2,
@@ -67,11 +66,14 @@ class TestDim2:
     def test_oracle_set_equality(self):
         for n in range(3, 9):
             enum_set = {(a.nil_set, a.cartan_gens) for _, a in enum_dim2(n)}
-            oracle_set = {(a.nil_set, a.cartan_gens) for a in enum_all_dim2_oracle(n)}
+            oracle_set = {(a.nil_set, a.cartan_gens) for a in bruteforce.closed_dim2_spans(n)}
             assert enum_set == oracle_set
 
+    def test_oracle_count_at_the_top_of_the_range(self):
+        assert len(bruteforce.closed_dim2_spans(8)) == len(enum_dim2(8)) == 539
+
     def test_oracle_n3_members(self):
-        oracle = enum_all_dim2_oracle(3)
+        oracle = bruteforce.closed_dim2_spans(3)
         nil_only = {tuple(sorted(a.nil_set)) for a in oracle if not a.cartan_gens}
         assert nil_only == {((1, 2), (1, 3)), ((1, 3), (2, 3))}
         mixed = sum(1 for a in oracle if a.nil_set and a.cartan_gens)
@@ -80,7 +82,7 @@ class TestDim2:
         assert len(h_only) == 1 and len(oracle) == 9
 
     def test_oracle_n2(self):
-        oracle = enum_all_dim2_oracle(2)
+        oracle = bruteforce.closed_dim2_spans(2)
         assert len(oracle) == 1
         assert oracle[0].nil_set == {(1, 2)} and oracle[0].cartan_gens == ((1, -1),)
 

@@ -1,12 +1,15 @@
 """The runtime is the standard library: every absolute import under
 src/regalg names a stdlib module, and the package declares no
 dependencies.  The decision layer imports nothing from the family,
-verification or command-line modules."""
+verification or command-line modules.  Every name the package exports
+exists, and the export list is sorted."""
 
 import ast
 import re
 import sys
 from pathlib import Path
+
+import regalg
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,3 +50,8 @@ def test_decision_layer_imports_no_families_verify_or_cli():
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_public_names_resolve_and_are_sorted():
+    assert regalg.__all__ == sorted(regalg.__all__)
+    assert [name for name in regalg.__all__ if not hasattr(regalg, name)] == []
